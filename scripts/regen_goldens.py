@@ -2,7 +2,8 @@
 """Regenerate the golden summaries under tests/golden/.
 
 Runs every standard benchmark scenario and stores its summary with the
-metadata block stripped, so the regression test can compare reruns exactly.
+metadata block stripped, for the regression test to compare reruns with
+field by field under its numerical budget.
 Rerun this only when an intentional change shifts the stored numbers.
 """
 

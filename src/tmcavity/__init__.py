@@ -19,9 +19,7 @@ from .analysis import (
 from .cavity import (
     CavityParams,
     CavityTrajectory,
-    DerivedRates,
     analytic_conversion,
-    derived_rates,
     simulate_full,
     simulate_reduced,
     trajectory_to_csv,

@@ -159,7 +159,8 @@ def green_kernel(
     efficiencies = sv**2
     quartic = float((sv**4).sum())
     if quartic > 0.0:
-        schmidt = float(efficiencies.sum()) ** 2 / quartic
+        # >= 1 by Cauchy-Schwarz; a rank-1 kernel can round to 1 ulp below.
+        schmidt = max(1.0, float(efficiencies.sum()) ** 2 / quartic)
     else:
         schmidt = 1.0  # no conversion channel at all
 

@@ -41,6 +41,7 @@ from .errors import GridMismatchError, InstabilityError
 from .signals import (
     TemporalSignal,
     TimeGrid,
+    _write_csv,
     cumulative_integral,
     require_same_grid,
 )
@@ -91,24 +92,6 @@ class CavityParams:
     def g_s(self) -> float:
         """Drive coefficient alpha * sqrt(2 gamma_s) / (gamma_s + kappa_s)."""
         return self.alpha * math.sqrt(2.0 * self.gamma_s) / self.gamma_tilde_s
-
-
-@dataclass(frozen=True)
-class DerivedRates:
-    gamma_tilde_s: float
-    gamma_tilde_c: float
-    f_s: float
-    g_s: float
-
-
-def derived_rates(params: CavityParams) -> DerivedRates:
-    """Bundle the derived rates of a parameter set into one record."""
-    return DerivedRates(
-        gamma_tilde_s=params.gamma_tilde_s,
-        gamma_tilde_c=params.gamma_tilde_c,
-        f_s=params.f_s,
-        g_s=params.g_s,
-    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -312,22 +295,13 @@ def analytic_conversion(
 
 def trajectory_to_csv(traj: CavityTrajectory, path) -> None:
     """Write a trajectory as one CSV row per sample at full precision."""
-    cols = (
-        traj.S.values,
-        traj.C.values,
-        traj.S_out.values,
-        traj.C_out.values,
-    )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(
-            "t,S_re,S_im,C_re,C_im,Sout_re,Sout_im,Cout_re,Cout_im,control_abs\n"
-        )
-        times = traj.grid.times
-        control_abs = np.abs(traj.control.values)
-        for k in range(traj.grid.n_samples):
-            row = [f"{float(times[k])!r}"]
-            for col in cols:
-                row.append(f"{float(col[k].real)!r}")
-                row.append(f"{float(col[k].imag)!r}")
-            row.append(f"{float(control_abs[k])!r}")
-            fh.write(",".join(row) + "\n")
+    header = ["t"]
+    columns = [traj.grid.times]
+    for name, sig in zip(
+        ("S", "C", "Sout", "Cout"), (traj.S, traj.C, traj.S_out, traj.C_out)
+    ):
+        header += [f"{name}_re", f"{name}_im"]
+        columns += [sig.values.real, sig.values.imag]
+    header.append("control_abs")
+    columns.append(np.abs(traj.control.values))
+    _write_csv(path, header, columns)

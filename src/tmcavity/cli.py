@@ -37,27 +37,7 @@ from .modes import (
     optimal_input_mode,
     polynomial_raw_basis,
 )
-from .signals import inner_product, normalize, signal_to_csv
-
-SCENARIO_HELP = {
-    "fig2-gaussian": "Gaussian control driving an input of the same Gaussian shape (mode-mismatched storage benchmark).",
-    "fig2-optimal": "Gaussian control driving its matched optimal input mode (near-complete storage).",
-    "fig3-orthogonal": "Input mode orthogonal to the optimal one; mode_index picks the family member.",
-    "fig4-design": "Control pulse designed to store a chosen Hermite-Gauss target (target_order, q, theta).",
-    "alpha-scan": "Sweep of the coupling strength with per-point matched inputs; reports the best value.",
-    "green-kernel": "Conversion-kernel assembly over an orthonormal basis with singular-value analysis.",
-    "units": "Dimensionless rates translated to SI rates, lifetimes, and quality factors.",
-}
-
-SCENARIO_DEFAULTS = {
-    "fig2-gaussian": {},
-    "fig2-optimal": {},
-    "fig3-orthogonal": {"mode_index": 1},
-    "fig4-design": {"target_order": 0, "q": 1e-7, "theta": 0.0},
-    "alpha-scan": {"alpha_min": 0.5, "alpha_max": 10.0, "alpha_step": 0.25},
-    "green-kernel": {"basis_size": 8},
-    "units": {"unit_time_s": 100e-12, "lambda_s_m": 1550e-9, "lambda_c_m": 775e-9},
-}
+from .signals import _write_csv, inner_product, normalize, signal_to_csv
 
 
 def _trajectory_results(traj, params) -> dict:
@@ -86,6 +66,7 @@ def _orthogonal_family(config: ExperimentConfig, size: int):
 
 
 def _run_fig2_gaussian(config, out):
+    """Gaussian control driving an input of the same Gaussian shape (mode-mismatched storage benchmark)."""
     control = gaussian_control(config.control_center, config.grid)
     traj = simulate_full(config.cavity, control, control)
     trajectory_to_csv(traj, out / "trajectory.csv")
@@ -93,6 +74,7 @@ def _run_fig2_gaussian(config, out):
 
 
 def _run_fig2_optimal(config, out):
+    """Gaussian control driving its matched optimal input mode (near-complete storage)."""
     control = gaussian_control(config.control_center, config.grid)
     mode = optimal_input_mode(config.cavity, control)
     traj = simulate_full(config.cavity, control, mode)
@@ -102,6 +84,7 @@ def _run_fig2_optimal(config, out):
 
 
 def _run_fig3(config, out):
+    """Input mode orthogonal to the optimal one; mode_index picks the family member."""
     control, family = _orthogonal_family(config, config.mode_index)
     mode = family[config.mode_index]
     traj = simulate_full(config.cavity, control, mode)
@@ -114,6 +97,7 @@ def _run_fig3(config, out):
 
 
 def _run_fig4(config, out):
+    """Control pulse designed to store a chosen Hermite-Gauss target (target_order, q, theta)."""
     target = hermite_gaussian(config.target_order, config.control_center, config.grid)
     inputs = DesignInputs(
         s_in=target, f_s=config.cavity.f_s, q=config.q, theta=config.theta
@@ -142,11 +126,10 @@ def _run_fig4(config, out):
 
 
 def _run_alpha_scan(config, out):
+    """Sweep of the coupling strength with per-point matched inputs; reports the best value."""
     control = gaussian_control(config.control_center, config.grid)
-    n_steps = round((config.alpha_max - config.alpha_min) / config.alpha_step)
-    alphas = [config.alpha_min + k * config.alpha_step for k in range(n_steps + 1)]
     result = scan_alpha(
-        alphas,
+        config.alpha_grid,
         gamma_s=config.cavity.gamma_s,
         gamma_c=config.cavity.gamma_c,
         kappa_s=config.cavity.kappa_s,
@@ -154,10 +137,15 @@ def _run_alpha_scan(config, out):
         control=control,
         model=config.model,
     )
-    with open(out / "wout_vs_alpha.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("alpha,w_out,diverged\n")
-        for a, w, bad in zip(result.alphas, result.w_out, result.diverged):
-            fh.write(f"{a!r},{w!r},{int(bad)}\n")
+    _write_csv(
+        out / "wout_vs_alpha.csv",
+        ("alpha", "w_out", "diverged"),
+        (
+            np.array(result.alphas),
+            np.array(result.w_out),
+            np.array(result.diverged, dtype=int),
+        ),
+    )
     return {
         "model": config.model,
         "best_alpha": float(result.best_alpha),
@@ -168,14 +156,15 @@ def _run_alpha_scan(config, out):
 
 
 def _run_green_kernel(config, out):
+    """Conversion-kernel assembly over an orthonormal basis with singular-value analysis."""
     control, family = _orthogonal_family(config, config.basis_size - 1)
     report = green_kernel(config.cavity, control, family, model=config.model)
-    with open(out / "singular_values.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("index,sigma,efficiency\n")
-        for k, (sv, eff) in enumerate(
-            zip(report.singular_values, report.conversion_efficiencies)
-        ):
-            fh.write(f"{k},{float(sv)!r},{float(eff)!r}\n")
+    sv = report.singular_values
+    _write_csv(
+        out / "singular_values.csv",
+        ("index", "sigma", "efficiency"),
+        (np.arange(len(sv)), sv, report.conversion_efficiencies),
+    )
     signal_to_csv(report.input_modes[0], out / "dominant_mode.csv")
     mode_family_to_csv(family, out / "basis.csv")
     eff = report.conversion_efficiencies
@@ -197,6 +186,7 @@ def _run_green_kernel(config, out):
 
 
 def _run_units(config, out):
+    """Dimensionless rates translated to SI rates, lifetimes, and quality factors."""
     report = physical_units(
         config.unit_time_s, config.lambda_s_m, config.lambda_c_m, config.cavity
     )
@@ -244,15 +234,12 @@ def run(config: ExperimentConfig, out_dir) -> dict:
 
 
 def list_scenarios() -> str:
-    """Human-readable registry of scenarios with their default knobs."""
+    """Human-readable registry of scenarios with the default of every key."""
+    defaults = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
     lines = []
-    for name in SCENARIO_KEYS:
-        lines.append(f"{name}")
-        lines.append(f"    {SCENARIO_HELP[name]}")
-        defaults = SCENARIO_DEFAULTS[name]
-        if defaults:
-            pairs = ", ".join(f"{k}={v!r}" for k, v in defaults.items())
-            lines.append(f"    defaults: {pairs}")
+    for name, keys in SCENARIO_KEYS.items():
+        pairs = ", ".join(f"{k}={defaults[k]!r}" for k in keys)
+        lines += [name, f"    {_RUNNERS[name].__doc__}", f"    defaults: {pairs}"]
     return "\n".join(lines)
 
 
@@ -330,12 +317,12 @@ def main(argv=None) -> int:
     try:
         config = load_config(args.config)
         if args.grid_samples is not None:
-            grid = dataclasses.replace(config.grid, n_samples=args.grid_samples)
+            try:
+                grid = dataclasses.replace(config.grid, n_samples=args.grid_samples)
+            except ValueError as exc:
+                raise ConfigError(f"--grid-samples: {exc}") from None
             config = dataclasses.replace(config, grid=grid)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

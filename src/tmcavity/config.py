@@ -9,8 +9,10 @@ the offending file line, as are out-of-range values.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass
 
+from .analysis import MODELS
 from .cavity import CavityParams
 from .errors import ConfigError
 from .signals import TimeGrid
@@ -61,7 +63,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.scenario not in SCENARIO_KEYS:
             raise ConfigError(f"unknown scenario {self.scenario!r}")
-        if self.model not in ("full", "reduced", "analytic"):
+        if self.model not in MODELS:
             raise ConfigError(f"unknown model {self.model!r}")
         if self.scenario == "fig3-orthogonal" and self.mode_index < 1:
             raise ConfigError("mode_index must be >= 1")
@@ -69,23 +71,31 @@ class ExperimentConfig:
             raise ConfigError("basis_size must be >= 2")
         if self.target_order < 0:
             raise ConfigError("target_order must be >= 0")
+        span = self.alpha_max - self.alpha_min
+        if not (self.alpha_step > 0 and math.isfinite(span)):
+            raise ConfigError(
+                "alpha grid needs finite alpha_min, alpha_max and alpha_step > 0, "
+                f"got {self.alpha_min}, {self.alpha_max}, {self.alpha_step}"
+            )
+        n_points = len(self.alpha_grid)
+        if n_points < 3:
+            raise ConfigError(
+                f"alpha grid needs at least 3 points, got {n_points} from "
+                f"{self.alpha_min} to {self.alpha_max} in steps of {self.alpha_step}"
+            )
+
+    @property
+    def alpha_grid(self) -> list[float]:
+        """The alpha-scan sweep points, alpha_min to alpha_max by alpha_step."""
+        n_steps = round((self.alpha_max - self.alpha_min) / self.alpha_step)
+        return [self.alpha_min + k * self.alpha_step for k in range(n_steps + 1)]
 
     def as_dict(self) -> dict:
         """Flat JSON-ready view: shared sections plus this scenario's keys."""
         out = {
             "scenario": self.scenario,
-            "grid": {
-                "t_start": self.grid.t_start,
-                "t_end": self.grid.t_end,
-                "n_samples": self.grid.n_samples,
-            },
-            "cavity": {
-                "alpha": self.cavity.alpha,
-                "gamma_s": self.cavity.gamma_s,
-                "gamma_c": self.cavity.gamma_c,
-                "kappa_s": self.cavity.kappa_s,
-                "kappa_c": self.cavity.kappa_c,
-            },
+            "grid": {key: getattr(self.grid, key) for key in _GRID_KEYS},
+            "cavity": {key: getattr(self.cavity, key) for key in _CAVITY_KEYS},
         }
         for key in SCENARIO_KEYS[self.scenario]:
             out[key] = getattr(self, key)
@@ -206,23 +216,17 @@ def load_config(path) -> ExperimentConfig:
 
 def dump_config(config: ExperimentConfig) -> str:
     """Serialize a config back to the INI text accepted by load_config."""
-    lines = [
-        "[grid]",
-        f"t_start = {config.grid.t_start!r}",
-        f"t_end = {config.grid.t_end!r}",
-        f"n_samples = {config.grid.n_samples}",
-        "",
-        "[cavity]",
-        f"alpha = {config.cavity.alpha!r}",
-        f"gamma_s = {config.cavity.gamma_s!r}",
-        f"gamma_c = {config.cavity.gamma_c!r}",
-        f"kappa_s = {config.cavity.kappa_s!r}",
-        f"kappa_c = {config.cavity.kappa_c!r}",
-        "",
-        "[scenario]",
-        f"name = {config.scenario}",
-    ]
-    for key in SCENARIO_KEYS[config.scenario]:
-        value = getattr(config, key)
-        lines.append(f"{key} = {value!r}" if not isinstance(value, str) else f"{key} = {value}")
-    return "\n".join(lines) + "\n"
+    fields = config.as_dict()
+    sections = {
+        "grid": fields.pop("grid"),
+        "cavity": fields.pop("cavity"),
+        "scenario": {"name": fields.pop("scenario"), **fields},
+    }
+    blocks = []
+    for section, values in sections.items():
+        lines = [f"[{section}]"]
+        for key, value in values.items():
+            text = value if isinstance(value, str) else repr(value)
+            lines.append(f"{key} = {text}")
+        blocks.append("\n".join(lines))
+    return "\n\n".join(blocks) + "\n"

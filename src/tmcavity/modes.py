@@ -25,6 +25,7 @@ from .errors import (
 from .signals import (
     TemporalSignal,
     TimeGrid,
+    _write_csv,
     cumulative_integral,
     inner_product,
     normalize,
@@ -206,17 +207,11 @@ def polynomial_raw_basis(
 def mode_family_to_csv(family: ModeFamily, path) -> None:
     """Write a family as ``t`` plus one re/im column pair per mode."""
     header = ["t"]
-    for k in range(len(family)):
+    columns = [family.grid.times]
+    for k, mode in enumerate(family):
         header += [f"mode{k}_re", f"mode{k}_im"]
-    times = family.grid.times
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for i in range(family.grid.n_samples):
-            row = [f"{float(times[i])!r}"]
-            for m in family:
-                row.append(f"{float(m.values[i].real)!r}")
-                row.append(f"{float(m.values[i].imag)!r}")
-            fh.write(",".join(row) + "\n")
+        columns += [mode.values.real, mode.values.imag]
+    _write_csv(path, header, columns)
 
 
 def _require_margin(center, grid, margin, what):

@@ -16,6 +16,7 @@ import numpy as np
 from .errors import DegenerateSignalError, GridMismatchError
 
 ZERO_NORM_FLOOR = 1e-300
+_CSV_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -156,13 +157,26 @@ def normalize(f: TemporalSignal) -> TemporalSignal:
     return TemporalSignal(f.grid, f.values / np.sqrt(energy))
 
 
+def _write_csv(path, header, columns) -> None:
+    """Write equal-length 1-D numeric arrays as CSV columns under ``header``.
+
+    Every cell is the ``repr`` of the Python number, i.e. full round-trip
+    precision. Rows are formatted in blocks of ``_CSV_BLOCK`` so only one
+    block of text is alive at a time, whatever the column count.
+    """
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, len(columns[0]), _CSV_BLOCK):
+            cells = [
+                map(repr, col[start : start + _CSV_BLOCK].tolist()) for col in columns
+            ]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+
+
 def signal_to_csv(signal: TemporalSignal, path) -> None:
     """Write a signal as ``t,re,im`` rows at full (round-trip) precision."""
-    times = signal.grid.times
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("t,re,im\n")
-        for t, v in zip(times, signal.values):
-            fh.write(f"{float(t)!r},{float(v.real)!r},{float(v.imag)!r}\n")
+    values = signal.values
+    _write_csv(path, ("t", "re", "im"), (signal.grid.times, values.real, values.imag))
 
 
 def signal_from_csv(path) -> TemporalSignal:

@@ -13,11 +13,14 @@ from tmcavity import (
     UndefinedResidualError,
     conservation_residual,
     gaussian_control,
+    gram_schmidt_family,
     green_kernel,
     hermite_gaussian,
     inner_product,
     normalize,
+    optimal_input_mode,
     physical_units,
+    polynomial_raw_basis,
     scan_alpha,
     simulate_full,
     simulate_reduced,
@@ -93,6 +96,18 @@ class TestGreenKernel:
         report = green_kernel(par, control, basis, model="analytic")
         sv = report.singular_values
         assert sv[1] / sv[0] < 1e-6
+
+    def test_rank_one_schmidt_number_is_not_rejected_by_rounding(self):
+        # At these inputs the exact rank-1 kernel's Schmidt number rounds to
+        # 1 ulp below 1; it is 1 by Cauchy-Schwarz and must be reported so.
+        center = 3.2055098475906454
+        grid = TimeGrid(0.0, 10.0, 10001)
+        par = CavityParams(gamma_s=10.30846024216234, gamma_c=0.01, alpha=5.280618546467441)
+        control = gaussian_control(center, grid)
+        seed = normalize(optimal_input_mode(par, control))
+        basis = gram_schmidt_family(seed, polynomial_raw_basis(seed, 47, center))
+        report = green_kernel(par, control, basis, model="analytic")
+        assert report.schmidt_number == 1.0
 
     def test_full_model_contrast(self, kernel_report_full):
         eff = kernel_report_full.conversion_efficiencies

@@ -12,7 +12,6 @@ from tmcavity import (
     TemporalSignal,
     TimeGrid,
     analytic_conversion,
-    derived_rates,
     gaussian_control,
     hermite_gaussian,
     optimal_input_mode,
@@ -28,13 +27,12 @@ BENCH = dict(gamma_s=10.1, gamma_c=0.01, alpha=5.5)
 class TestDerivedRates:
     def test_benchmark_values_match_direct_arithmetic(self):
         par = CavityParams(**BENCH)
-        rec = derived_rates(par)
-        assert rec.gamma_tilde_s == pytest.approx(10.1, abs=0)
-        assert rec.gamma_tilde_c == pytest.approx(0.01, abs=0)
-        assert rec.f_s == pytest.approx(5.5**2 / 10.1, abs=1e-12)
-        assert rec.f_s == pytest.approx(2.9950495, abs=1e-5)
-        assert rec.g_s == pytest.approx(5.5 * math.sqrt(2 * 10.1 / 10.1**2), abs=1e-12)
-        assert rec.g_s == pytest.approx(2.4474679, abs=1e-5)
+        assert par.gamma_tilde_s == pytest.approx(10.1, abs=0)
+        assert par.gamma_tilde_c == pytest.approx(0.01, abs=0)
+        assert par.f_s == pytest.approx(5.5**2 / 10.1, abs=1e-12)
+        assert par.f_s == pytest.approx(2.9950495, abs=1e-5)
+        assert par.g_s == pytest.approx(5.5 * math.sqrt(2 * 10.1 / 10.1**2), abs=1e-12)
+        assert par.g_s == pytest.approx(2.4474679, abs=1e-5)
 
     def test_internal_loss_halves_conversion_rate(self):
         par = CavityParams(gamma_s=4.0, gamma_c=0.0, alpha=3.0, kappa_s=4.0)

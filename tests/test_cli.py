@@ -1,12 +1,13 @@
 """Config parsing, CLI subcommands, artifact schemas, and determinism."""
 
+import dataclasses
 import json
 
 import pytest
 
 from tmcavity import ConfigError, load_config
-from tmcavity.cli import main, run, seed_figures
-from tmcavity.config import SCENARIO_KEYS, dump_config
+from tmcavity.cli import _RUNNERS, main, run, seed_figures
+from tmcavity.config import SCENARIO_KEYS, ExperimentConfig, dump_config
 
 GOOD_CONFIG = """\
 [grid]
@@ -97,6 +98,23 @@ class TestCliCommands:
         assert "alpha-scan" in out
         assert "fig4-design" in out
 
+    def test_list_shows_every_default(self, capsys):
+        assert main(["list"]) == 0
+        out = capsys.readouterr().out
+        assert (
+            "control_center=3.0, alpha_min=0.5, alpha_max=10.0, alpha_step=0.25, "
+            "model='full'" in out
+        )
+        assert "control_center=3.0, basis_size=8, model='full'" in out
+
+    def test_one_scenario_registry(self):
+        assert set(_RUNNERS) == set(SCENARIO_KEYS)
+        fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        for keys in SCENARIO_KEYS.values():
+            assert set(keys) <= fields
+        for runner in _RUNNERS.values():
+            assert runner.__doc__
+
     def test_seed_figures_writes_loadable_configs(self, tmp_path):
         written = seed_figures(tmp_path / "cfgs")
         assert len(written) == 9
@@ -104,9 +122,27 @@ class TestCliCommands:
             cfg = load_config(path)
             assert cfg.scenario in SCENARIO_KEYS
 
-    def test_bad_config_exits_2(self, tmp_path, capsys):
-        path = write_config(tmp_path, GOOD_CONFIG.replace("10001", "one"))
-        code = main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+    @pytest.mark.parametrize(
+        "replacements, extra_args",
+        [
+            ({"10001": "one"}, []),
+            ({}, ["--grid-samples", "1"]),
+            ({"fig2-optimal": "alpha-scan\nalpha_step = 0.0"}, []),
+            ({"fig2-optimal": "alpha-scan\nalpha_step = -0.25"}, []),
+            ({"fig2-optimal": "alpha-scan\nalpha_min = 5.0\nalpha_max = 5.2"}, []),
+            ({"fig2-optimal": "alpha-scan\nalpha_max = inf"}, []),
+        ],
+        ids=["n-samples-not-int", "grid-samples-1", "alpha-step-0",
+             "alpha-step-negative", "alpha-grid-2-points", "alpha-max-inf"],
+    )
+    def test_bad_config_exits_2(self, tmp_path, capsys, replacements, extra_args):
+        text = GOOD_CONFIG
+        for old, new in replacements.items():
+            text = text.replace(old, new)
+        path = write_config(tmp_path, text)
+        code = main(
+            ["run", "--config", str(path), "--out", str(tmp_path / "o"), *extra_args]
+        )
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
