@@ -35,8 +35,8 @@ PLATEAU_TAIL_FRACTION = 1e-3
 
 MODELS = ("full", "reduced", "analytic")
 
-# exp() argument ceiling; beyond this the matched-mode normalization
-# overflows double precision and the scan point cannot be evaluated
+# exp() argument ceiling; analytic_conversion forms exp(+f_s eps), which
+# overflows double precision beyond it, so such scan points are skipped
 _EXP_LIMIT = 700.0
 
 
@@ -149,13 +149,12 @@ def green_kernel(
     if len(basis) < 2:
         raise ValueError("basis must contain at least 2 modes")
     sqw = np.sqrt(quadrature_weights(basis.grid))
-    cols = []
-    for mode in basis:
-        c_end, c_leak = _converted_response(params, control, mode, model)
-        cols.append(np.concatenate(([c_end], sqw * c_leak)))
-    matrix = np.asarray(cols).T
+    matrix = np.empty((basis.grid.n_samples + 1, len(basis)), complex, order="F")
+    for j, mode in enumerate(basis):
+        matrix[0, j], c_leak = _converted_response(params, control, mode, model)
+        np.multiply(sqw, c_leak, out=matrix[1:, j])
 
-    _, sv, vh = np.linalg.svd(matrix, full_matrices=False)
+    sv, vh = np.linalg.svd(matrix, full_matrices=False)[1:]
     efficiencies = sv**2
     quartic = float((sv**4).sum())
     if quartic > 0.0:
@@ -164,18 +163,10 @@ def green_kernel(
     else:
         schmidt = 1.0  # no conversion channel at all
 
-    signals = []
-    for k in range(len(basis)):
-        coeffs = np.conj(vh[k])
-        vals = np.zeros(basis.grid.n_samples, dtype=complex)
-        for j, mode in enumerate(basis):
-            vals += coeffs[j] * mode.values
-        signals.append(TemporalSignal(basis.grid, vals))
-
     return SchmidtReport(
         singular_values=sv,
         conversion_efficiencies=efficiencies,
-        input_modes=ModeFamily(basis.grid, tuple(signals)),
+        input_modes=ModeFamily(basis.grid, vh.conj() @ basis.values),
         schmidt_number=schmidt,
         response_matrix=matrix,
     )

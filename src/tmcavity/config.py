@@ -9,6 +9,7 @@ the offending file line, as are out-of-range values.
 from __future__ import annotations
 
 import configparser
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -63,6 +64,16 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.scenario not in SCENARIO_KEYS:
             raise ConfigError(f"unknown scenario {self.scenario!r}")
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{field.name} must be finite, got {value}")
+        if min(self.unit_time_s, self.lambda_s_m, self.lambda_c_m) <= 0:
+            raise ConfigError("unit_time_s, lambda_s_m and lambda_c_m must be > 0")
+        if self.scenario == "units" and self.cavity.gamma_c <= 0:
+            raise ConfigError("units needs gamma_c > 0 to report converted-band rates")
+        if self.scenario == "fig4-design" and self.cavity.f_s <= 0:
+            raise ConfigError("fig4-design needs a nonzero alpha (f_s > 0)")
         if self.model not in MODELS:
             raise ConfigError(f"unknown model {self.model!r}")
         if self.scenario == "fig3-orthogonal" and self.mode_index < 1:

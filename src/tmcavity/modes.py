@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -29,6 +28,7 @@ from .signals import (
     cumulative_integral,
     inner_product,
     normalize,
+    quadrature_weights,
 )
 
 # Amplitude sigma of the standard control Gaussian exp(-(t - center)^2).
@@ -88,107 +88,105 @@ def optimal_input_mode(
 
     Given a unit-norm control, returns
 
-        N * conj(Omega(t)) * exp(f_s * eps(t)),
-        N = sqrt(2 f_s / (exp(2 f_s) - 1)),
+        N * conj(Omega(t)) * exp(f_s * (eps(t) - 1)),
+        N = sqrt(2 f_s / (1 - exp(-2 f_s))),
 
-    where eps is the accumulated control area. The late-time weighting
-    skews the mode toward the trailing edge of the control; the analytic
-    N gives unit L2 norm to well within 1e-6 on the default grid. The
-    f_s -> 0 limit returns conj(Omega) unchanged.
+    where eps is the accumulated control area, 1 for the whole pulse, so
+    no factor overflows for any f_s. The late-time weighting skews the mode
+    toward the trailing edge of the control; the analytic N gives unit L2
+    norm to well within 1e-6 on the default grid. The f_s -> 0 limit
+    returns conj(Omega) unchanged.
     """
     fs = params.f_s
     eps = cumulative_integral(control).values.real
     if fs == 0.0:
         scale = 1.0
     else:
-        scale = math.sqrt(2.0 * fs / math.expm1(2.0 * fs))
-    vals = scale * np.conj(control.values) * np.exp(fs * eps)
+        scale = math.sqrt(2.0 * fs / -math.expm1(-2.0 * fs))
+    vals = scale * np.conj(control.values) * np.exp(fs * (eps - 1.0))
     return TemporalSignal(control.grid, vals)
 
 
 @dataclass(frozen=True, eq=False)
 class ModeFamily:
-    """Ordered orthonormal set of signals on one grid.
+    """Ordered orthonormal set of modes on one grid, stored as one array.
 
-    Construction verifies every pairwise inner product against the
-    Kronecker delta at a 1e-9 tolerance.
+    ``values`` is a read-only ``(m, n_samples)`` complex array whose row k
+    is mode k. Construction checks the trapezoid-weighted Gram matrix
+    against the identity at a 1e-9 tolerance. Indexing and iteration
+    yield the rows as :class:`TemporalSignal` objects.
     """
 
     grid: TimeGrid
-    modes: tuple[TemporalSignal, ...]
+    values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "modes", tuple(self.modes))
-        if not self.modes:
-            raise ValueError("mode family cannot be empty")
-        for m in self.modes:
-            if m.grid != self.grid:
-                raise NonOrthonormalBasisError("family members on different grids")
-        worst = 0.0
-        for i, a in enumerate(self.modes):
-            for j, b in enumerate(self.modes[i:], start=i):
-                target = 1.0 if i == j else 0.0
-                worst = max(worst, abs(inner_product(a, b) - target))
-        if worst >= ORTHONORMALITY_TOL:
+        vals = np.array(self.values, dtype=complex, order="C")
+        if vals.ndim != 2 or not len(vals) or vals.shape[1] != self.grid.n_samples:
+            n = self.grid.n_samples
+            raise ValueError(f"expected a nonempty (m, {n}) array, got {vals.shape}")
+        # conj(V) * w is built in place, so the check adds one (m, n) array.
+        weighted = np.conj(vals)
+        weighted *= quadrature_weights(self.grid)
+        gram = weighted @ vals.T
+        del weighted
+        gram[np.diag_indices_from(gram)] -= 1.0
+        worst = float(np.abs(gram).max())
+        if not worst < ORTHONORMALITY_TOL:  # also rejects NaN
             raise NonOrthonormalBasisError(
                 f"pairwise inner products deviate from identity by {worst:.3e}"
             )
+        vals.flags.writeable = False
+        object.__setattr__(self, "values", vals)
 
     def __len__(self) -> int:
-        return len(self.modes)
+        return len(self.values)
 
     def __iter__(self):
-        return iter(self.modes)
+        return (TemporalSignal(self.grid, row) for row in self.values)
 
     def __getitem__(self, idx: int) -> TemporalSignal:
-        return self.modes[idx]
+        return TemporalSignal(self.grid, self.values[idx])
 
 
-def gram_schmidt_family(
-    seed: TemporalSignal,
-    raw_basis: Sequence[TemporalSignal],
-    count: int | None = None,
-) -> ModeFamily:
-    """Orthonormal family starting from ``seed``, by modified Gram-Schmidt.
+def gram_schmidt_family(seed: TemporalSignal, raw_basis: np.ndarray) -> ModeFamily:
+    """Orthonormal family starting from ``seed``, by a weighted QR.
 
-    Mode 0 is the seed itself (which must already be unit norm on its grid);
-    modes 1..count orthogonalize the raw vectors against all previous modes
-    in order, with a second projection pass for numerical orthogonality.
-    A raw vector whose post-projection norm falls below 1e-8 raises
+    ``raw_basis`` is a ``(count, n_samples)`` array of raw vectors. Mode 0
+    is the seed itself (which must already be unit norm on its grid);
+    mode k + 1 is the part of raw vector k orthogonal to the seed and to
+    every earlier raw vector, normalized and phased so that its overlap
+    with raw vector k is real and positive. This is Gram-Schmidt computed
+    as one Householder QR of the quadrature-weighted vectors. A raw vector
+    whose post-projection norm (the R diagonal) falls below 1e-8 raises
     :class:`DegenerateBasisError` naming its index.
     """
-    if count is None:
-        count = len(raw_basis)
-    if count > len(raw_basis):
-        raise ValueError(f"count {count} exceeds raw basis size {len(raw_basis)}")
     seed_err = abs(inner_product(seed, seed).real - 1.0)
     if seed_err > 1e-8:
         raise NonOrthonormalBasisError(
             f"seed must be unit norm (energy off by {seed_err:.3e}); "
             "normalize it first"
         )
-    modes = [seed]
-    for i in range(count):
-        v = raw_basis[i].values.copy()
-        for _ in range(2):
-            for m in modes:
-                coeff = inner_product(m, TemporalSignal(seed.grid, v))
-                v = v - coeff * m.values
-        sig = TemporalSignal(seed.grid, v)
-        residual = math.sqrt(max(inner_product(sig, sig).real, 0.0))
-        if residual < 1e-8:
-            raise DegenerateBasisError(
-                f"raw vector {i} is linearly dependent on the family "
-                f"(post-projection norm {residual:.3e})"
-            )
-        modes.append(normalize(sig))
-    return ModeFamily(seed.grid, tuple(modes))
+    sqw = np.sqrt(quadrature_weights(seed.grid))
+    q, r = np.linalg.qr((np.vstack((seed.values, raw_basis)) * sqw).T)
+    # A reduced QR has min(n_samples, count + 1) columns; any raw vector
+    # beyond that is necessarily dependent and keeps a zero norm here.
+    norms = np.zeros(len(raw_basis) + 1)
+    norms[: len(r)] = np.abs(np.diagonal(r))
+    short = np.flatnonzero(norms[1:] < 1e-8)
+    if short.size:
+        raise DegenerateBasisError(
+            f"raw vector {short[0]} is linearly dependent on the family "
+            f"(post-projection norm {norms[short[0] + 1]:.3e})"
+        )
+    q *= np.diagonal(r) / norms
+    q /= sqw[:, None]
+    q[:, 0] = seed.values
+    return ModeFamily(seed.grid, q.T)
 
 
-def polynomial_raw_basis(
-    seed: TemporalSignal, count: int, center: float
-) -> list[TemporalSignal]:
-    """Raw vectors (t - center)^k * seed for k = 1..count.
+def polynomial_raw_basis(seed: TemporalSignal, count: int, center: float) -> np.ndarray:
+    """Raw vectors (t - center)^k * seed for k = 1..count, as ``(count, n)`` rows.
 
     Feeding these to :func:`gram_schmidt_family` yields an orthogonal family
     that shares the seed's support, with mode k carrying k sign changes,
@@ -196,21 +194,17 @@ def polynomial_raw_basis(
     no shape parameters beyond the expansion center.
     """
     u = seed.grid.times - center
-    out = []
-    power = np.ones_like(u)
-    for _ in range(count):
-        power = power * u
-        out.append(TemporalSignal(seed.grid, power * seed.values))
-    return out
+    powers = np.cumprod(np.broadcast_to(u, (count, len(u))), axis=0)
+    return powers * seed.values
 
 
 def mode_family_to_csv(family: ModeFamily, path) -> None:
     """Write a family as ``t`` plus one re/im column pair per mode."""
     header = ["t"]
     columns = [family.grid.times]
-    for k, mode in enumerate(family):
+    for k, row in enumerate(family.values):
         header += [f"mode{k}_re", f"mode{k}_im"]
-        columns += [mode.values.real, mode.values.imag]
+        columns += [row.real, row.imag]
     _write_csv(path, header, columns)
 
 

@@ -91,7 +91,7 @@ class TestGreenKernel:
         control = gaussian_control(3.0, grid)
         par = CavityParams(gamma_s=10.1, gamma_c=0.0, alpha=5.5)
         basis = ModeFamily(
-            grid, tuple(hermite_gaussian(n, 5.0, grid) for n in range(8))
+            grid, np.array([hermite_gaussian(n, 5.0, grid).values for n in range(8)])
         )
         report = green_kernel(par, control, basis, model="analytic")
         sv = report.singular_values
@@ -159,7 +159,7 @@ class TestGreenKernel:
             green_kernel(
                 bench_params,
                 control,
-                ModeFamily(opt_seed.grid, (opt_seed,)),
+                ModeFamily(opt_seed.grid, np.array([opt_seed.values])),
                 model="full",
             )
 

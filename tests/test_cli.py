@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 
 import pytest
 
@@ -131,9 +132,17 @@ class TestCliCommands:
             ({"fig2-optimal": "alpha-scan\nalpha_step = -0.25"}, []),
             ({"fig2-optimal": "alpha-scan\nalpha_min = 5.0\nalpha_max = 5.2"}, []),
             ({"fig2-optimal": "alpha-scan\nalpha_max = inf"}, []),
+            ({"fig2-optimal": "fig4-design\ntheta = nan"}, []),
+            ({"fig2-optimal": "fig2-optimal\ncontrol_center = nan"}, []),
+            ({"fig2-optimal": "units\nunit_time_s = 0"}, []),
+            ({"fig2-optimal": "units\nlambda_s_m = -1"}, []),
+            ({"fig2-optimal": "units", "gamma_c = 0.01": "gamma_c = 0.0"}, []),
+            ({"fig2-optimal": "fig4-design", "alpha = 5.5": "alpha = 0.0"}, []),
         ],
         ids=["n-samples-not-int", "grid-samples-1", "alpha-step-0",
-             "alpha-step-negative", "alpha-grid-2-points", "alpha-max-inf"],
+             "alpha-step-negative", "alpha-grid-2-points", "alpha-max-inf",
+             "theta-nan", "control-center-nan", "unit-time-0",
+             "lambda-s-negative", "units-gamma-c-0", "fig4-alpha-0"],
     )
     def test_bad_config_exits_2(self, tmp_path, capsys, replacements, extra_args):
         text = GOOD_CONFIG
@@ -170,6 +179,14 @@ class TestCliCommands:
         )
         assert code == 1
         assert "fig2-gaussian" in capsys.readouterr().err
+
+    def test_matched_input_at_large_alpha_has_no_overflow(self, tmp_path, capsys):
+        strong = GOOD_CONFIG.replace("alpha = 5.5", "alpha = 80.0")
+        path = write_config(tmp_path, strong)
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+        w_out = load_summary(out)["results"]["w_out"]
+        assert math.isfinite(w_out) and 0.0 < w_out < 1.0
 
     def test_grid_samples_override(self, tmp_path, capsys):
         path = write_config(tmp_path, GOOD_CONFIG)

@@ -87,7 +87,7 @@ def test_mode_family_to_csv_bytes(grid, tmp_path):
         vals = np.full(n, complex(-0.0, 5e-324))
         vals[k] = 1.0 / np.sqrt(grid.dt if 0 < k < n - 1 else 0.5 * grid.dt)
         modes.append(TemporalSignal(grid, vals))
-    family = ModeFamily(grid, tuple(modes))
+    family = ModeFamily(grid, np.array([m.values for m in modes]))
     mode_family_to_csv(family, tmp_path / "new.csv")
     header = ["t"] + [f"mode{k}_{part}" for k in range(count) for part in ("re", "im")]
     reference_csv(

@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tmcavity import (
     CavityParams,
     DegenerateBasisError,
+    ModeFamily,
     NonOrthonormalBasisError,
     TemporalSignal,
     TimeGrid,
@@ -18,9 +21,11 @@ from tmcavity import (
     gram_schmidt_family,
     hermite_gaussian,
     inner_product,
+    norm,
     normalize,
     optimal_input_mode,
     polynomial_raw_basis,
+    quadrature_weights,
     unconverted_energy,
 )
 
@@ -112,7 +117,7 @@ class TestOptimalInputMode:
 
 class TestGramSchmidtFamily:
     def test_mode_zero_is_the_seed(self, opt_seed, family8):
-        assert family8[0] is opt_seed
+        assert np.array_equal(family8.values[0], opt_seed.values)
 
     def test_pairwise_orthonormality(self, family8):
         for i, a in enumerate(family8):
@@ -128,8 +133,8 @@ class TestGramSchmidtFamily:
 
     def test_family_spans_the_raw_vectors(self, opt_seed, family8):
         raw = polynomial_raw_basis(opt_seed, 7, 3.0)
-        for vec in raw:
-            vec = normalize(vec)
+        for row in raw:
+            vec = normalize(TemporalSignal(opt_seed.grid, row))
             residual = vec.values.copy()
             for mode in family8:
                 residual -= inner_product(mode, vec) * mode.values
@@ -145,27 +150,82 @@ class TestGramSchmidtFamily:
 
     def test_degenerate_raw_vector_is_named(self, opt_seed):
         raw = polynomial_raw_basis(opt_seed, 1, 3.0)
-        duplicate = TemporalSignal(opt_seed.grid, opt_seed.values.copy())
         with pytest.raises(DegenerateBasisError, match="vector 1"):
-            gram_schmidt_family(opt_seed, [raw[0], duplicate])
+            gram_schmidt_family(opt_seed, np.array([raw[0], opt_seed.values]))
+
+    def test_more_raw_vectors_than_samples_is_degenerate(self):
+        grid = TimeGrid(0.0, 10.0, 9)
+        seed = normalize(TemporalSignal(grid, np.exp(-((grid.times - 5.0) ** 2))))
+        with pytest.raises(DegenerateBasisError):
+            gram_schmidt_family(seed, polynomial_raw_basis(seed, 9, 5.0))
 
     def test_seed_must_be_unit_norm(self, opt_seed):
         bad_seed = TemporalSignal(opt_seed.grid, 1.5 * opt_seed.values)
         with pytest.raises(NonOrthonormalBasisError):
             gram_schmidt_family(bad_seed, polynomial_raw_basis(bad_seed, 1, 3.0))
 
-    def test_count_cannot_exceed_raw_basis(self, opt_seed):
-        raw = polynomial_raw_basis(opt_seed, 2, 3.0)
-        with pytest.raises(ValueError):
-            gram_schmidt_family(opt_seed, raw, count=3)
+
+SMALL_GRID = TimeGrid(0.0, 10.0, 2001)
+
+family_inputs = st.tuples(
+    st.floats(0.5, 10.0),  # alpha
+    st.floats(3.0, 7.0),  # control_center, inside the 4-sigma margins
+    st.integers(1, 12),  # raw count
+    st.floats(-2.0, 2.0),  # control chirp, so the modes are truly complex
+)
+
+
+def _seed_and_raw(alpha, center, count, chirp):
+    params = CavityParams(gamma_s=10.1, gamma_c=0.01, alpha=alpha)
+    pulse = gaussian_control(center, SMALL_GRID)
+    phase = np.exp(1j * chirp * (SMALL_GRID.times - center) ** 2)
+    control = TemporalSignal(SMALL_GRID, pulse.values * phase)
+    seed = normalize(optimal_input_mode(params, control))
+    return seed, polynomial_raw_basis(seed, count, center)
+
+
+class TestGramSchmidtProperties:
+    @settings(max_examples=30, deadline=None)
+    @given(family_inputs)
+    def test_family_is_orthonormal_and_spans_the_raw_vectors(self, inputs):
+        seed, raw = _seed_and_raw(*inputs)
+        family = gram_schmidt_family(seed, raw)
+        vals = family.values
+        assert vals.shape == (len(raw) + 1, SMALL_GRID.n_samples)
+        w = quadrature_weights(SMALL_GRID)
+        gram = np.conj(vals) @ (w * vals).T
+        assert np.abs(gram - np.eye(len(vals))).max() < 1e-9
+        assert np.array_equal(vals[0], seed.values)
+        for k, row in enumerate(raw, start=1):
+            vec = TemporalSignal(SMALL_GRID, row)
+            overlap = inner_product(family[k], vec)
+            assert overlap.real > 0.0
+            assert abs(overlap.imag) <= 1e-10 * abs(overlap)
+            coeffs = np.conj(vals[: k + 1]) @ (w * row)
+            residual = TemporalSignal(SMALL_GRID, row - coeffs @ vals[: k + 1])
+            assert norm(residual) < 1e-9 * norm(vec)
+
+    @settings(max_examples=30, deadline=None)
+    @given(family_inputs, st.data())
+    def test_duplicated_raw_row_is_named(self, inputs, data):
+        seed, raw = _seed_and_raw(*inputs)
+        source = data.draw(st.integers(0, len(raw) - 1), label="source")
+        at = data.draw(st.integers(source + 1, len(raw)), label="at")
+        raw = np.insert(raw, at, raw[source], axis=0)
+        with pytest.raises(DegenerateBasisError, match=rf"raw vector {at} is"):
+            gram_schmidt_family(seed, raw)
 
 
 class TestModeFamilyValidation:
     def test_non_orthonormal_set_is_rejected(self, opt_seed):
-        from tmcavity import ModeFamily
-
         with pytest.raises(NonOrthonormalBasisError):
-            ModeFamily(opt_seed.grid, (opt_seed, opt_seed))
+            ModeFamily(opt_seed.grid, np.array([opt_seed.values, opt_seed.values]))
+
+    def test_non_finite_values_are_rejected(self, opt_seed):
+        vals = np.array([opt_seed.values])
+        vals[0, 5] = np.nan
+        with pytest.raises(NonOrthonormalBasisError):
+            ModeFamily(opt_seed.grid, vals)
 
 
 class TestModeFamilyCsv:
