@@ -127,11 +127,9 @@ def _assemble_trajectory(params, grid, s_arr, c_arr, s_in, control):
 
 
 def _check_finite(arrays, grid):
-    finite = np.ones(grid.n_samples, dtype=bool)
-    for arr in arrays:
-        finite &= np.isfinite(arr)
-    if not finite.all():
-        k = int(np.flatnonzero(~finite)[0])
+    bad = np.flatnonzero(~np.isfinite(arrays).all(axis=0))
+    if bad.size:
+        k = int(bad[0])
         raise InstabilityError(
             f"integration diverged: first non-finite amplitude at sample {k} "
             f"(t = {grid.times[k]:.6g}); reduce dt or the fastest rate"
@@ -147,6 +145,35 @@ def _resolve_grid(control, s_in, grid):
     return common
 
 
+_STEP_BLOCK = 1024
+
+
+def _step_maps(rhs, dim, dt, control, s_in):
+    """Fixed RK4 steps as affine maps x -> M x + V, in blocks that bound memory.
+
+    ``rhs(x, o, f)`` returns the derivatives of the ``dim`` amplitudes
+    ``x[i]`` under control ``o`` and drive ``f`` as one array. Stepping the
+    unit vectors with zero drive gives the columns of M, and zero with the
+    drive gives V; drives are linearly interpolated at the half steps.
+    Yields each block's slice of samples and the lists ``M[0][0], ...,
+    M[0][dim-1], V[0], M[1][0], ...`` over its steps.
+    """
+    x = np.eye(dim, dim + 1, dtype=complex)[:, :, None]
+    om, si = control.values, s_in.values * np.eye(dim + 1, 1, -dim)
+    n_steps = len(om) - 1
+    for k0 in range(0, n_steps, _STEP_BLOCK):
+        k1 = min(k0 + _STEP_BLOCK, n_steps)
+        o0, o1 = om[k0:k1], om[k0 + 1 : k1 + 1]
+        f0, f1 = si[:, k0:k1], si[:, k0 + 1 : k1 + 1]
+        oh, fh = 0.5 * (o0 + o1), 0.5 * (f0 + f1)
+        d1 = rhs(x, o0, f0)
+        d2 = rhs(x + 0.5 * dt * d1, oh, fh)
+        d3 = rhs(x + 0.5 * dt * d2, oh, fh)
+        d4 = rhs(x + dt * d3, o1, f1)
+        stepped = x + dt / 6.0 * (d1 + 2.0 * (d2 + d3) + d4)
+        yield slice(k0 + 1, k1 + 1), stepped.reshape(-1, k1 - k0).tolist()
+
+
 def simulate_full(
     params: CavityParams,
     control: TemporalSignal,
@@ -156,59 +183,32 @@ def simulate_full(
     """Integrate the full two-mode model with fixed-step 4th-order Runge-Kutta.
 
     Both amplitudes start from zero (empty cavity). Drive envelopes are
-    sampled on the grid and linearly interpolated at the half steps. The
-    scalar inner loop runs on native complex numbers; at the default step
-    (dt = 1e-3 against rates of order 10) the scheme is deeply inside the
-    RK4 stability region and dt-halving tests resolve W_out below 1e-6.
+    sampled on the grid and linearly interpolated at the half steps. Each
+    step is applied as its affine map (see :func:`_step_maps`), so only a
+    two-amplitude recurrence runs per sample. At the default step (dt =
+    1e-3 against rates of order 10) the scheme is deeply inside the RK4
+    stability region and dt-halving tests resolve W_out below 1e-6.
 
     Raises :class:`InstabilityError` naming the first bad sample if the
     integration produces a non-finite amplitude.
     """
     g = _resolve_grid(control, s_in, grid)
-    n = g.n_samples
-    dt = g.dt
-    gts = float(params.gamma_tilde_s)
-    gtc = float(params.gamma_tilde_c)
-    r2gs = float(np.sqrt(2.0 * params.gamma_s))
-    ia = 1j * float(params.alpha)
-    om = control.values.tolist()
-    si = s_in.values.tolist()
+    gts, gtc = params.gamma_tilde_s, params.gamma_tilde_c
+    r2gs, ia = math.sqrt(2.0 * params.gamma_s), 1j * params.alpha
 
-    s_arr = np.empty(n, dtype=complex)
-    c_arr = np.empty(n, dtype=complex)
-    s = 0j
-    c = 0j
-    s_arr[0] = s
-    c_arr[0] = c
-    h2 = 0.5 * dt
-    h6 = dt / 6.0
-    for k in range(n - 1):
-        o0 = om[k]
-        o1 = om[k + 1]
-        oh = 0.5 * (o0 + o1)
-        f0 = si[k]
-        f1 = si[k + 1]
-        fh = 0.5 * (f0 + f1)
+    def rhs(x, o, f):
+        s, c = x
+        return np.array((ia * o.conj() * c - gts * s + r2gs * f, ia * o * s - gtc * c))
 
-        ds1 = ia * o0.conjugate() * c - gts * s + r2gs * f0
-        dc1 = ia * o0 * s - gtc * c
-        s2 = s + h2 * ds1
-        c2 = c + h2 * dc1
-        ds2 = ia * oh.conjugate() * c2 - gts * s2 + r2gs * fh
-        dc2 = ia * oh * s2 - gtc * c2
-        s3 = s + h2 * ds2
-        c3 = c + h2 * dc2
-        ds3 = ia * oh.conjugate() * c3 - gts * s3 + r2gs * fh
-        dc3 = ia * oh * s3 - gtc * c3
-        s4 = s + dt * ds3
-        c4 = c + dt * dc3
-        ds4 = ia * o1.conjugate() * c4 - gts * s4 + r2gs * f1
-        dc4 = ia * o1 * s4 - gtc * c4
-
-        s = s + h6 * (ds1 + 2.0 * (ds2 + ds3) + ds4)
-        c = c + h6 * (dc1 + 2.0 * (dc2 + dc3) + dc4)
-        s_arr[k + 1] = s
-        c_arr[k + 1] = c
+    s_arr, c_arr = np.zeros((2, g.n_samples), dtype=complex)
+    s = c = 0j
+    for at, (a, b, e, p, q, f) in _step_maps(rhs, 2, g.dt, control, s_in):
+        # preallocated: lists grown by append fragment the heap and raise peak RSS
+        s_blk, c_blk = [0j] * len(a), [0j] * len(a)
+        for k, (a_k, b_k, e_k, p_k, q_k, f_k) in enumerate(zip(a, b, e, p, q, f)):
+            s, c = a_k * s + b_k * c + e_k, p_k * s + q_k * c + f_k
+            s_blk[k], c_blk[k] = s, c
+        s_arr[at], c_arr[at] = s_blk, c_blk
 
     _check_finite((s_arr, c_arr), g)
     return _assemble_trajectory(params, g, s_arr, c_arr, s_in, control)
@@ -227,36 +227,18 @@ def simulate_reduced(
     input-output relations as the full model.
     """
     g = _resolve_grid(control, s_in, grid)
-    n = g.n_samples
-    dt = g.dt
-    gtc = float(params.gamma_tilde_c)
-    fs = float(params.f_s)
-    igs = 1j * float(params.g_s)
-    om = control.values.tolist()
-    si = s_in.values.tolist()
+    fs, gtc, igs = params.f_s, params.gamma_tilde_c, 1j * params.g_s
 
-    c_arr = np.empty(n, dtype=complex)
+    def rhs(x, o, f):
+        return (-fs * (o.real * o.real + o.imag * o.imag) - gtc) * x + igs * o * f
+
+    c_arr = np.zeros(g.n_samples, dtype=complex)
     c = 0j
-    c_arr[0] = c
-    h2 = 0.5 * dt
-    h6 = dt / 6.0
-    for k in range(n - 1):
-        o0 = om[k]
-        o1 = om[k + 1]
-        oh = 0.5 * (o0 + o1)
-        f0 = si[k]
-        f1 = si[k + 1]
-        fh = 0.5 * (f0 + f1)
-        a0 = -fs * (o0.real * o0.real + o0.imag * o0.imag) - gtc
-        ah = -fs * (oh.real * oh.real + oh.imag * oh.imag) - gtc
-        a1 = -fs * (o1.real * o1.real + o1.imag * o1.imag) - gtc
-
-        dc1 = a0 * c + igs * o0 * f0
-        dc2 = ah * (c + h2 * dc1) + igs * oh * fh
-        dc3 = ah * (c + h2 * dc2) + igs * oh * fh
-        dc4 = a1 * (c + dt * dc3) + igs * o1 * f1
-        c = c + h6 * (dc1 + 2.0 * (dc2 + dc3) + dc4)
-        c_arr[k + 1] = c
+    for at, (a, e) in _step_maps(rhs, 1, g.dt, control, s_in):
+        c_blk = [0j] * len(a)
+        for k, (a_k, e_k) in enumerate(zip(a, e)):
+            c = c_blk[k] = a_k * c + e_k
+        c_arr[at] = c_blk
 
     _check_finite((c_arr,), g)
     s_arr = (

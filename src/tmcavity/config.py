@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 from .analysis import MODELS
 from .cavity import CavityParams
-from .errors import ConfigError
+from .errors import ConfigError, WindowClippingError
+from .modes import CONTROL_MARGIN, MAX_HERMITE_ORDER, _require_margin, hermite_margin
 from .signals import TimeGrid
 
 SCENARIO_KEYS = {
@@ -80,8 +81,17 @@ class ExperimentConfig:
             raise ConfigError("mode_index must be >= 1")
         if self.basis_size < 2:
             raise ConfigError("basis_size must be >= 2")
-        if self.target_order < 0:
-            raise ConfigError("target_order must be >= 0")
+        if not 0 <= self.target_order <= MAX_HERMITE_ORDER:
+            raise ConfigError(f"target_order must be within [0, {MAX_HERMITE_ORDER}]")
+        if self.q <= 0:
+            raise ConfigError(f"q must be > 0, got {self.q}")
+        if "control_center" in SCENARIO_KEYS[self.scenario]:
+            fig4 = self.scenario == "fig4-design"
+            margin = hermite_margin(self.target_order) if fig4 else CONTROL_MARGIN
+            try:
+                _require_margin(self.control_center, self.grid, margin, "pulse")
+            except WindowClippingError as exc:
+                raise ConfigError(f"control_center: {exc}") from None
         span = self.alpha_max - self.alpha_min
         if not (self.alpha_step > 0 and math.isfinite(span)):
             raise ConfigError(

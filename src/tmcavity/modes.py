@@ -33,6 +33,8 @@ from .signals import (
 
 # Amplitude sigma of the standard control Gaussian exp(-(t - center)^2).
 CONTROL_SIGMA = 1.0 / math.sqrt(2.0)
+# Window margin the control needs on each side of its center.
+CONTROL_MARGIN = 4.0 * CONTROL_SIGMA
 
 # Highest Hermite order kept; the three-term recurrence is well conditioned
 # here and the classical support still fits comfortably in double precision.
@@ -48,10 +50,15 @@ def gaussian_control(center: float, grid: TimeGrid) -> TemporalSignal:
     exactly 1; with the required margin of four amplitude sigmas on both
     sides, the sampled norm matches to better than 1e-8.
     """
-    _require_margin(center, grid, 4.0 * CONTROL_SIGMA, "control pulse")
+    _require_margin(center, grid, CONTROL_MARGIN, "control pulse")
     t = grid.times
     vals = (2.0 / np.pi) ** 0.25 * np.exp(-((t - center) ** 2))
     return TemporalSignal(grid, vals.astype(complex))
+
+
+def hermite_margin(n: int) -> float:
+    """Window margin the HG_n mode needs: its classical support sqrt(2n + 1)."""
+    return math.sqrt(2.0 * n + 1.0)
 
 
 def hermite_gaussian(n: int, center: float, grid: TimeGrid) -> TemporalSignal:
@@ -67,7 +74,7 @@ def hermite_gaussian(n: int, center: float, grid: TimeGrid) -> TemporalSignal:
         raise UnsupportedOrderError(
             f"order must be within [0, {MAX_HERMITE_ORDER}], got {n}"
         )
-    _require_margin(center, grid, math.sqrt(2.0 * n + 1.0), f"HG_{n} mode")
+    _require_margin(center, grid, hermite_margin(n), f"HG_{n} mode")
     u = grid.times - center
     h_prev = np.ones_like(u)
     if n == 0:

@@ -1,9 +1,12 @@
 """Dynamical models: benchmark values, agreement, and conservation laws."""
 
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tmcavity import (
     CavityParams,
@@ -12,6 +15,7 @@ from tmcavity import (
     TemporalSignal,
     TimeGrid,
     analytic_conversion,
+    conservation_residual,
     gaussian_control,
     hermite_gaussian,
     optimal_input_mode,
@@ -20,8 +24,108 @@ from tmcavity import (
     trajectory_to_csv,
     unconverted_energy,
 )
+from tmcavity.cavity import _STEP_BLOCK
 
 BENCH = dict(gamma_s=10.1, gamma_c=0.01, alpha=5.5)
+
+
+def reference_full(params, control, s_in):
+    """The scalar RK4 loop the step-map integrator replaced, kept verbatim.
+
+    Returns the raw S and C arrays, non-finite samples included.
+    """
+    n = control.grid.n_samples
+    dt = control.grid.dt
+    gts = float(params.gamma_tilde_s)
+    gtc = float(params.gamma_tilde_c)
+    r2gs = float(np.sqrt(2.0 * params.gamma_s))
+    ia = 1j * float(params.alpha)
+    om = control.values.tolist()
+    si = s_in.values.tolist()
+
+    s_arr = np.empty(n, dtype=complex)
+    c_arr = np.empty(n, dtype=complex)
+    s = 0j
+    c = 0j
+    s_arr[0] = s
+    c_arr[0] = c
+    h2 = 0.5 * dt
+    h6 = dt / 6.0
+    for k in range(n - 1):
+        o0 = om[k]
+        o1 = om[k + 1]
+        oh = 0.5 * (o0 + o1)
+        f0 = si[k]
+        f1 = si[k + 1]
+        fh = 0.5 * (f0 + f1)
+
+        ds1 = ia * o0.conjugate() * c - gts * s + r2gs * f0
+        dc1 = ia * o0 * s - gtc * c
+        s2 = s + h2 * ds1
+        c2 = c + h2 * dc1
+        ds2 = ia * oh.conjugate() * c2 - gts * s2 + r2gs * fh
+        dc2 = ia * oh * s2 - gtc * c2
+        s3 = s + h2 * ds2
+        c3 = c + h2 * dc2
+        ds3 = ia * oh.conjugate() * c3 - gts * s3 + r2gs * fh
+        dc3 = ia * oh * s3 - gtc * c3
+        s4 = s + dt * ds3
+        c4 = c + dt * dc3
+        ds4 = ia * o1.conjugate() * c4 - gts * s4 + r2gs * f1
+        dc4 = ia * o1 * s4 - gtc * c4
+
+        s = s + h6 * (ds1 + 2.0 * (ds2 + ds3) + ds4)
+        c = c + h6 * (dc1 + 2.0 * (dc2 + dc3) + dc4)
+        s_arr[k + 1] = s
+        c_arr[k + 1] = c
+    return s_arr, c_arr
+
+
+def reference_reduced(params, control, s_in):
+    """The scalar RK4 loop of the reduced model, kept verbatim, plus the
+    algebraic S reconstruction."""
+    n = control.grid.n_samples
+    dt = control.grid.dt
+    gtc = float(params.gamma_tilde_c)
+    fs = float(params.f_s)
+    igs = 1j * float(params.g_s)
+    om = control.values.tolist()
+    si = s_in.values.tolist()
+
+    c_arr = np.empty(n, dtype=complex)
+    c = 0j
+    c_arr[0] = c
+    h2 = 0.5 * dt
+    h6 = dt / 6.0
+    for k in range(n - 1):
+        o0 = om[k]
+        o1 = om[k + 1]
+        oh = 0.5 * (o0 + o1)
+        f0 = si[k]
+        f1 = si[k + 1]
+        fh = 0.5 * (f0 + f1)
+        a0 = -fs * (o0.real * o0.real + o0.imag * o0.imag) - gtc
+        ah = -fs * (oh.real * oh.real + oh.imag * oh.imag) - gtc
+        a1 = -fs * (o1.real * o1.real + o1.imag * o1.imag) - gtc
+
+        dc1 = a0 * c + igs * o0 * f0
+        dc2 = ah * (c + h2 * dc1) + igs * oh * fh
+        dc3 = ah * (c + h2 * dc2) + igs * oh * fh
+        dc4 = a1 * (c + dt * dc3) + igs * o1 * f1
+        c = c + h6 * (dc1 + 2.0 * (dc2 + dc3) + dc4)
+        c_arr[k + 1] = c
+
+    s_arr = (
+        1j * (params.alpha / params.gamma_tilde_s) * np.conj(control.values) * c_arr
+        + np.sqrt(2.0 * params.gamma_s) / params.gamma_tilde_s * s_in.values
+    )
+    return s_arr, c_arr
+
+
+INTEGRATORS = [
+    pytest.param(simulate_full, reference_full, id="full"),
+    pytest.param(simulate_reduced, reference_reduced, id="reduced"),
+]
 
 
 class TestDerivedRates:
@@ -200,3 +304,133 @@ class TestTrajectoryCsv:
             "t,S_re,S_im,C_re,C_im,Sout_re,Sout_im,Cout_re,Cout_im,control_abs"
         )
         assert len(lines) == 1 + traj_gaussian_input.grid.n_samples
+
+
+def _chirped_pulse(grid, center, width, chirp, amplitude):
+    u = grid.times - center
+    return TemporalSignal(
+        grid, amplitude * np.exp(-((u / width) ** 2) + 1j * chirp * u**2)
+    )
+
+
+cavity_params = st.builds(
+    CavityParams,
+    gamma_s=st.floats(0.1, 20.0),
+    gamma_c=st.floats(0.0, 5.0),
+    alpha=st.just(0.0) | st.floats(0.01, 10.0) | st.floats(-10.0, -0.01),
+    kappa_s=st.floats(0.0, 5.0),
+    kappa_c=st.floats(0.0, 5.0),
+)
+n_samples = st.sampled_from(
+    [2, _STEP_BLOCK, _STEP_BLOCK + 1, _STEP_BLOCK + 2, 2 * _STEP_BLOCK + 1]
+) | st.integers(2, 3000)
+
+
+@st.composite
+def drives(draw):
+    grid = TimeGrid(0.0, 10.0, draw(n_samples, label="n_samples"))
+    control = _chirped_pulse(
+        grid,
+        center=draw(st.floats(2.0, 8.0)),
+        width=draw(st.floats(0.5, 2.0)),
+        chirp=draw(st.floats(-2.0, 2.0)),
+        amplitude=draw(st.floats(0.1, 2.0)),
+    )
+    s_in = _chirped_pulse(
+        grid,
+        center=draw(st.floats(2.0, 8.0)),
+        width=draw(st.floats(0.5, 2.0)),
+        chirp=draw(st.floats(-2.0, 2.0)),
+        amplitude=draw(st.complex_numbers(min_magnitude=0.1, max_magnitude=2.0)),
+    )
+    return control, s_in
+
+
+def _first_bad_sample(*arrays):
+    bad = ~np.isfinite(arrays[0])
+    for arr in arrays[1:]:
+        bad |= ~np.isfinite(arr)
+    return int(np.flatnonzero(bad)[0])
+
+
+class TestStepMapsMatchScalarLoops:
+    """The per-step affine maps reproduce the scalar RK4 loops they replaced."""
+
+    @pytest.mark.parametrize("simulate, reference", INTEGRATORS)
+    @settings(max_examples=30, deadline=None)
+    @given(params=cavity_params, signals=drives())
+    def test_amplitudes_match_reference(self, simulate, reference, params, signals):
+        control, s_in = signals
+        traj = simulate(params, control, s_in)
+        old_s, old_c = reference(params, control, s_in)
+        for new, old in ((traj.S.values, old_s), (traj.C.values, old_c)):
+            assert np.abs(new - old).max() <= 1e-12 * np.abs(old).max()
+
+    def test_stiff_case_names_the_reference_sample(self):
+        grid = TimeGrid(0.0, 10.0, 101)
+        control = gaussian_control(3.0, grid)
+        stiff = CavityParams(gamma_s=5000.0, gamma_c=0.01, alpha=5.5)
+        expected = _first_bad_sample(*reference_full(stiff, control, control))
+        assert expected == 34
+        with pytest.raises(InstabilityError, match=rf"at sample {expected} "):
+            simulate_full(stiff, control, control)
+
+    @pytest.mark.parametrize("simulate, reference", INTEGRATORS)
+    @pytest.mark.parametrize("rate", np.geomspace(300.0, 1e5, 13).tolist())
+    def test_divergence_is_named_at_the_reference_sample(
+        self, simulate, reference, rate
+    ):
+        # dt = 0.1 puts either band's decay far outside the stability region.
+        # The scalar loop reports one sample early when an RK4 stage value
+        # overflows before the amplitude it builds; the step maps never form
+        # those stage values, so they name the first non-finite amplitude.
+        grid = TimeGrid(0.0, 10.0, 101)
+        control = gaussian_control(3.0, grid)
+        stiff = CavityParams(gamma_s=rate, gamma_c=rate, alpha=5.5)
+        expected = _first_bad_sample(*reference(stiff, control, control))
+        with pytest.raises(InstabilityError) as info:
+            simulate(stiff, control, control)
+        named = int(re.search(r"sample (\d+)", str(info.value)).group(1))
+        assert expected <= named <= expected + 1
+
+
+class TestPhysicsProperties:
+    """Invariants of the model on the default grid, over drawn parameters."""
+
+    @pytest.mark.parametrize("simulate", [simulate_full, simulate_reduced])
+    @settings(max_examples=20, deadline=None)
+    @given(
+        a=st.complex_numbers(max_magnitude=3.0),
+        b=st.complex_numbers(max_magnitude=3.0),
+    )
+    def test_linear_in_the_signal(self, grid10, control, simulate, a, b):
+        par = CavityParams(**BENCH, kappa_s=0.2)
+        s1 = hermite_gaussian(0, 4.0, grid10)
+        s2 = hermite_gaussian(2, 5.0, grid10)
+        mix = TemporalSignal(grid10, a * s1.values + b * s2.values)
+        t1 = simulate(par, control, s1)
+        t2 = simulate(par, control, s2)
+        tm = simulate(par, control, mix)
+        for field in ("S", "C", "S_out", "C_out"):
+            combined = a * getattr(t1, field).values + b * getattr(t2, field).values
+            assert np.abs(getattr(tm, field).values - combined).max() < 1e-9
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        alpha=st.floats(0.0, 8.0),
+        gamma_s=st.floats(5.0, 15.0),
+        center=st.floats(2.9, 7.0),
+        order=st.integers(0, 3),
+        kappa_s=st.floats(0.05, 2.0),
+    )
+    def test_photon_balance(self, grid10, alpha, gamma_s, center, order, kappa_s):
+        control = gaussian_control(center, grid10)
+        s_in = hermite_gaussian(order, center, grid10)
+        lossless = CavityParams(gamma_s=gamma_s, gamma_c=0.01, alpha=alpha)
+        traj = simulate_full(lossless, control, s_in)
+        assert conservation_residual(traj, lossless) < 1e-5
+        lossy = CavityParams(
+            gamma_s=gamma_s, gamma_c=0.01, alpha=alpha, kappa_s=kappa_s
+        )
+        traj = simulate_full(lossy, control, s_in)
+        assert conservation_residual(traj, lossy) > 0.0

@@ -138,11 +138,21 @@ class TestCliCommands:
             ({"fig2-optimal": "units\nlambda_s_m = -1"}, []),
             ({"fig2-optimal": "units", "gamma_c = 0.01": "gamma_c = 0.0"}, []),
             ({"fig2-optimal": "fig4-design", "alpha = 5.5": "alpha = 0.0"}, []),
+            ({"fig2-optimal": "fig4-design\nq = -1"}, []),
+            ({"fig2-optimal": "fig4-design\ntarget_order = 25"}, []),
+            ({"fig2-optimal": "fig4-design\ntarget_order = 2\ncontrol_center = 1.0"}, []),
+            ({"fig2-optimal": "fig2-gaussian\ncontrol_center = 1.0"}, []),
+            ({"fig2-optimal": "alpha-scan\ncontrol_center = 1.0"}, []),
+            ({"fig2-optimal": "green-kernel\ncontrol_center = 1.0"}, []),
+            ({"fig2-optimal": "fig3-orthogonal\ncontrol_center = 9.0"}, []),
         ],
         ids=["n-samples-not-int", "grid-samples-1", "alpha-step-0",
              "alpha-step-negative", "alpha-grid-2-points", "alpha-max-inf",
              "theta-nan", "control-center-nan", "unit-time-0",
-             "lambda-s-negative", "units-gamma-c-0", "fig4-alpha-0"],
+             "lambda-s-negative", "units-gamma-c-0", "fig4-alpha-0",
+             "fig4-q-negative", "fig4-order-25", "fig4-target-clipped",
+             "fig2-control-clipped", "alpha-scan-control-clipped",
+             "green-kernel-control-clipped", "fig3-control-clipped"],
     )
     def test_bad_config_exits_2(self, tmp_path, capsys, replacements, extra_args):
         text = GOOD_CONFIG
