@@ -19,6 +19,7 @@ import numpy as np
 from .cavity import (
     CavityParams,
     CavityTrajectory,
+    _converted_amplitudes,
     analytic_conversion,
     simulate_full,
     simulate_reduced,
@@ -117,19 +118,6 @@ class SchmidtReport:
             raise ValueError(f"schmidt_number must be >= 1, got {self.schmidt_number}")
 
 
-def _converted_response(params, control, mode, model):
-    if model == "full":
-        traj = simulate_full(params, control, mode)
-        return traj.C.values[-1], traj.C_out.values
-    if model == "reduced":
-        traj = simulate_reduced(params, control, mode)
-        return traj.C.values[-1], traj.C_out.values
-    if model == "analytic":
-        _, c_end = analytic_conversion(params, control, mode)
-        return c_end, np.zeros(control.grid.n_samples, dtype=complex)
-    raise ValueError(f"model must be one of {MODELS}, got {model!r}")
-
-
 def green_kernel(
     params: CavityParams,
     control: TemporalSignal,
@@ -138,21 +126,26 @@ def green_kernel(
 ) -> SchmidtReport:
     """Assemble and decompose the conversion kernel over an input basis.
 
-    Runs the chosen model once per basis mode (the :class:`ModeFamily`
-    constructor has already certified orthonormality, so coefficient-space
-    column norms are physical energies). The dominant right singular vector
-    is the best-converting input reachable within the basis span; for the
-    closed-form model the kernel is exactly rank 1.
+    Drives the chosen model with every basis mode, the integrators in one
+    batched pass (the :class:`ModeFamily` constructor has certified
+    orthonormality, so coefficient-space column norms are physical
+    energies). The dominant right singular vector is the best-converting
+    input reachable within the basis span; for the closed-form model the
+    kernel is exactly rank 1.
     """
     if model not in MODELS:
         raise ValueError(f"model must be one of {MODELS}, got {model!r}")
     if len(basis) < 2:
         raise ValueError("basis must contain at least 2 modes")
-    sqw = np.sqrt(quadrature_weights(basis.grid))
-    matrix = np.empty((basis.grid.n_samples + 1, len(basis)), complex, order="F")
-    for j, mode in enumerate(basis):
-        matrix[0, j], c_leak = _converted_response(params, control, mode, model)
-        np.multiply(sqw, c_leak, out=matrix[1:, j])
+    matrix = np.zeros((basis.grid.n_samples + 1, len(basis)), complex, order="F")
+    if model == "analytic":
+        for j, mode in enumerate(basis):
+            matrix[0, j] = analytic_conversion(params, control, mode)[1]
+    else:
+        _converted_amplitudes(params, control, basis.values, model, matrix[1:])
+        matrix[0] = matrix[-1]
+        matrix[1:] *= math.sqrt(2.0 * params.gamma_c)
+        matrix[1:] *= np.sqrt(quadrature_weights(basis.grid))[:, None]
 
     sv, vh = np.linalg.svd(matrix, full_matrices=False)[1:]
     efficiencies = sv**2

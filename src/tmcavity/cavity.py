@@ -126,10 +126,10 @@ def _assemble_trajectory(params, grid, s_arr, c_arr, s_in, control):
     )
 
 
-def _check_finite(arrays, grid):
+def _check_finite(arrays, grid, start=0):
     bad = np.flatnonzero(~np.isfinite(arrays).all(axis=0))
     if bad.size:
-        k = int(bad[0])
+        k = start + int(bad[0])
         raise InstabilityError(
             f"integration diverged: first non-finite amplitude at sample {k} "
             f"(t = {grid.times[k]:.6g}); reduce dt or the fastest rate"
@@ -145,33 +145,70 @@ def _resolve_grid(control, s_in, grid):
     return common
 
 
+def _full_rhs(params):
+    gts, gtc = params.gamma_tilde_s, params.gamma_tilde_c
+    r2gs, ia = math.sqrt(2.0 * params.gamma_s), 1j * params.alpha
+    return lambda x, o, f: np.array(
+        (ia * o.conj() * x[1] - gts * x[0] + r2gs * f, ia * o * x[0] - gtc * x[1])
+    )
+
+
+def _reduced_rhs(params):
+    fs, gtc, igs = params.f_s, params.gamma_tilde_c, 1j * params.g_s
+    return lambda x, o, f: (
+        (-fs * (o.real * o.real + o.imag * o.imag) - gtc) * x + igs * o * f
+    )
+
+
 _STEP_BLOCK = 1024
 
 
-def _step_maps(rhs, dim, dt, control, s_in):
+def _step_maps(rhs, dim, dt, control, drives):
     """Fixed RK4 steps as affine maps x -> M x + V, in blocks that bound memory.
 
     ``rhs(x, o, f)`` returns the derivatives of the ``dim`` amplitudes
-    ``x[i]`` under control ``o`` and drive ``f`` as one array. Stepping the
-    unit vectors with zero drive gives the columns of M, and zero with the
-    drive gives V; drives are linearly interpolated at the half steps.
-    Yields each block's slice of samples and the lists ``M[0][0], ...,
-    M[0][dim-1], V[0], M[1][0], ...`` over its steps.
+    ``x[i]`` under control ``o`` and drive ``f`` as one array. ``drives``
+    is an ``(m, n_samples)`` array of signal-band drives. Stepping the unit
+    vectors with zero drive gives the columns of M, and zero with drive row
+    j gives V_j; drives are linearly interpolated at the half steps. Yields
+    each block's slice of samples and the stepped ``(dim, dim + m, steps)``
+    array: M_k is ``[:, :dim, k]`` and V_k is ``[:, dim:, k]``.
     """
-    x = np.eye(dim, dim + 1, dtype=complex)[:, :, None]
-    om, si = control.values, s_in.values * np.eye(dim + 1, 1, -dim)
+    x = np.eye(dim, dim + len(drives), dtype=complex)[:, :, None]
+    om = control.values
     n_steps = len(om) - 1
     for k0 in range(0, n_steps, _STEP_BLOCK):
         k1 = min(k0 + _STEP_BLOCK, n_steps)
-        o0, o1 = om[k0:k1], om[k0 + 1 : k1 + 1]
-        f0, f1 = si[:, k0:k1], si[:, k0 + 1 : k1 + 1]
+        f = np.concatenate((np.zeros((dim, k1 - k0 + 1)), drives[:, k0 : k1 + 1]))
+        o0, o1, f0, f1 = om[k0:k1], om[k0 + 1 : k1 + 1], f[:, :-1], f[:, 1:]
         oh, fh = 0.5 * (o0 + o1), 0.5 * (f0 + f1)
         d1 = rhs(x, o0, f0)
         d2 = rhs(x + 0.5 * dt * d1, oh, fh)
         d3 = rhs(x + 0.5 * dt * d2, oh, fh)
         d4 = rhs(x + dt * d3, o1, f1)
-        stepped = x + dt / 6.0 * (d1 + 2.0 * (d2 + d3) + d4)
-        yield slice(k0 + 1, k1 + 1), stepped.reshape(-1, k1 - k0).tolist()
+        yield slice(k0 + 1, k1 + 1), x + dt / 6.0 * (d1 + 2.0 * (d2 + d3) + d4)
+
+
+def _converted_amplitudes(params, control, drives, model, out):
+    """Write C(t) of every drive row into the columns of ``out`` in one pass.
+
+    X_{k+1} = M_k X_k + V_k runs on a ``(dim, m)`` array over the shared
+    step maps. A step costs one small matmul whatever m is, more than one
+    scalar step, so single runs keep their scalar loops.
+    """
+    rhs, dim = (_full_rhs, 2) if model == "full" else (_reduced_rhs, 1)
+    x = np.zeros((dim, len(drives)), dtype=complex)
+    out[0] = 0.0
+    with np.errstate(all="ignore"):
+        for at, stepped in _step_maps(rhs(params), dim, control.grid.dt, control, drives):
+            maps = stepped.transpose(2, 0, 1)
+            m_blk, v_blk = (np.ascontiguousarray(a) for a in np.split(maps, [dim], 2))
+            blk = np.empty((len(maps),) + x.shape, dtype=complex)
+            for m_k, v_k, x_k in zip(m_blk, v_blk, blk):
+                x = np.matmul(m_k, x, out=x_k)
+                x += v_k
+            _check_finite(blk.reshape(len(blk), -1).T, control.grid, at.start)
+            out[at] = blk[:, -1]
 
 
 def simulate_full(
@@ -193,16 +230,10 @@ def simulate_full(
     integration produces a non-finite amplitude.
     """
     g = _resolve_grid(control, s_in, grid)
-    gts, gtc = params.gamma_tilde_s, params.gamma_tilde_c
-    r2gs, ia = math.sqrt(2.0 * params.gamma_s), 1j * params.alpha
-
-    def rhs(x, o, f):
-        s, c = x
-        return np.array((ia * o.conj() * c - gts * s + r2gs * f, ia * o * s - gtc * c))
-
     s_arr, c_arr = np.zeros((2, g.n_samples), dtype=complex)
     s = c = 0j
-    for at, (a, b, e, p, q, f) in _step_maps(rhs, 2, g.dt, control, s_in):
+    for at, stepped in _step_maps(_full_rhs(params), 2, g.dt, control, s_in.values[None]):
+        a, b, e, p, q, f = stepped.reshape(6, -1).tolist()
         # preallocated: lists grown by append fragment the heap and raise peak RSS
         s_blk, c_blk = [0j] * len(a), [0j] * len(a)
         for k, (a_k, b_k, e_k, p_k, q_k, f_k) in enumerate(zip(a, b, e, p, q, f)):
@@ -227,14 +258,10 @@ def simulate_reduced(
     input-output relations as the full model.
     """
     g = _resolve_grid(control, s_in, grid)
-    fs, gtc, igs = params.f_s, params.gamma_tilde_c, 1j * params.g_s
-
-    def rhs(x, o, f):
-        return (-fs * (o.real * o.real + o.imag * o.imag) - gtc) * x + igs * o * f
-
     c_arr = np.zeros(g.n_samples, dtype=complex)
     c = 0j
-    for at, (a, e) in _step_maps(rhs, 1, g.dt, control, s_in):
+    for at, stepped in _step_maps(_reduced_rhs(params), 1, g.dt, control, s_in.values[None]):
+        a, e = stepped.reshape(2, -1).tolist()
         c_blk = [0j] * len(a)
         for k, (a_k, e_k) in enumerate(zip(a, e)):
             c = c_blk[k] = a_k * c + e_k

@@ -33,7 +33,6 @@ from .modes import (
     gaussian_control,
     gram_schmidt_family,
     hermite_gaussian,
-    mode_family_to_csv,
     optimal_input_mode,
     polynomial_raw_basis,
 )
@@ -166,7 +165,6 @@ def _run_green_kernel(config, out):
         (np.arange(len(sv)), sv, report.conversion_efficiencies),
     )
     signal_to_csv(report.input_modes[0], out / "dominant_mode.csv")
-    mode_family_to_csv(family, out / "basis.csv")
     eff = report.conversion_efficiencies
     contrast = float(eff[0] / eff[1]) if eff[1] > 0 else float("inf")
     return {

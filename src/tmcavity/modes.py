@@ -198,11 +198,16 @@ def polynomial_raw_basis(seed: TemporalSignal, count: int, center: float) -> np.
     Feeding these to :func:`gram_schmidt_family` yields an orthogonal family
     that shares the seed's support, with mode k carrying k sign changes,
     qualitatively a Hermite-Gauss ladder built on the seed envelope. Needs
-    no shape parameters beyond the expansion center.
+    no shape parameters beyond the expansion center; a row that overflows
+    raises :class:`DegenerateBasisError`.
     """
     u = seed.grid.times - center
-    powers = np.cumprod(np.broadcast_to(u, (count, len(u))), axis=0)
-    return powers * seed.values
+    with np.errstate(over="ignore", invalid="ignore"):
+        raw = np.cumprod(np.broadcast_to(u, (count, len(u))), axis=0) * seed.values
+    bad = np.flatnonzero(~np.isfinite(raw).all(axis=1))
+    if bad.size:
+        raise DegenerateBasisError(f"raw vector {bad[0]} overflows double precision")
+    return raw
 
 
 def mode_family_to_csv(family: ModeFamily, path) -> None:

@@ -1,12 +1,16 @@
 """Diagnostics, kernel decomposition, coupling sweep, and unit conversion."""
 
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tmcavity import (
     CavityParams,
+    InstabilityError,
     ModeFamily,
     TemporalSignal,
     TimeGrid,
@@ -21,11 +25,13 @@ from tmcavity import (
     optimal_input_mode,
     physical_units,
     polynomial_raw_basis,
+    quadrature_weights,
     scan_alpha,
     simulate_full,
     simulate_reduced,
     unconverted_energy,
 )
+from tmcavity.cavity import _STEP_BLOCK
 
 BENCH = dict(gamma_s=10.1, gamma_c=0.01, alpha=5.5)
 
@@ -166,6 +172,100 @@ class TestGreenKernel:
     def test_unknown_model_rejected(self, bench_params, control, family8):
         with pytest.raises(ValueError):
             green_kernel(bench_params, control, family8, model="exact")
+
+
+def _chirped_control(grid, center, width, chirp):
+    u = grid.times - center
+    return TemporalSignal(grid, np.exp(-((u / width) ** 2) + 1j * chirp * u**2))
+
+
+def _random_family(grid, m, seed):
+    # orthonormal columns of a QR become trapezoid-orthonormal rows once
+    # divided by the square-root weights
+    rng = np.random.default_rng(seed)
+    raw = rng.standard_normal((grid.n_samples, m)) + 1j * rng.standard_normal(
+        (grid.n_samples, m)
+    )
+    q = np.linalg.qr(raw)[0]
+    return ModeFamily(grid, q.T / np.sqrt(quadrature_weights(grid)))
+
+
+def _named_sample(simulate, params, control, mode):
+    try:
+        simulate(params, control, mode)
+    except InstabilityError as exc:
+        return int(re.search(r"sample (\d+)", str(exc)).group(1))
+    return math.inf
+
+
+SIMULATORS = {"full": simulate_full, "reduced": simulate_reduced}
+
+
+@st.composite
+def kernel_inputs(draw):
+    n = draw(
+        st.sampled_from(
+            [2, _STEP_BLOCK, _STEP_BLOCK + 1, _STEP_BLOCK + 2, 2 * _STEP_BLOCK + 1]
+        )
+        | st.integers(2, 3000),
+        label="n_samples",
+    )
+    grid = TimeGrid(0.0, 10.0, n)
+    params = CavityParams(
+        gamma_s=draw(st.floats(0.1, 20.0)),
+        gamma_c=draw(st.floats(0.0, 5.0)),
+        alpha=draw(st.just(0.0) | st.floats(0.01, 10.0) | st.floats(-10.0, -0.01)),
+        kappa_s=draw(st.floats(0.0, 5.0)),
+        kappa_c=draw(st.floats(0.0, 5.0)),
+    )
+    control = _chirped_control(
+        grid,
+        center=draw(st.floats(2.0, 8.0)),
+        width=draw(st.floats(0.5, 2.0)),
+        chirp=draw(st.floats(-2.0, 2.0)),
+    )
+    m = min(draw(st.integers(2, 12), label="m"), n)
+    basis = _random_family(grid, m, draw(st.integers(0, 2**32 - 1)))
+    return params, control, basis
+
+
+class TestBatchedKernelMatchesSingleRuns:
+    """The kernel's one batched pass reproduces one single run per mode."""
+
+    @pytest.mark.parametrize("model", ["full", "reduced"])
+    @settings(max_examples=30, deadline=None)
+    @given(inputs=kernel_inputs())
+    def test_columns_match_per_mode_runs(self, model, inputs):
+        params, control, basis = inputs
+        sqw = np.sqrt(quadrature_weights(basis.grid))
+        expected = np.empty((basis.grid.n_samples + 1, len(basis)), complex)
+        for j, mode in enumerate(basis):
+            traj = SIMULATORS[model](params, control, mode)
+            expected[0, j] = traj.C.values[-1]
+            expected[1:, j] = sqw * traj.C_out.values
+        matrix = green_kernel(params, control, basis, model=model).response_matrix
+        assert np.abs(matrix - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "model, stiff",
+        [
+            ("full", CavityParams(gamma_s=5000.0, gamma_c=0.01, alpha=5.5)),
+            ("reduced", CavityParams(gamma_s=10.1, gamma_c=5000.0, alpha=5.5)),
+        ],
+    )
+    def test_stiff_kernel_names_the_earliest_bad_sample(self, model, stiff):
+        grid = TimeGrid(0.0, 10.0, 101)
+        control = gaussian_control(3.0, grid)
+        seed = normalize(optimal_input_mode(stiff, control))
+        basis = gram_schmidt_family(seed, polynomial_raw_basis(seed, 7, 3.0))
+        expected = min(
+            _named_sample(SIMULATORS[model], stiff, control, mode)
+            for mode in basis
+        )
+        assert expected == 34
+        with pytest.raises(InstabilityError, match=rf"at sample {expected} "):
+            green_kernel(stiff, control, basis, model=model)
 
 
 @pytest.fixture(scope="module")

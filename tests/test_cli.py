@@ -190,6 +190,19 @@ class TestCliCommands:
         assert code == 1
         assert "fig2-gaussian" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_basis_exits_1_with_one_line(self, tmp_path, capsys):
+        # (t - 3)^365 exceeds double precision at t = 10
+        wide = GOOD_CONFIG.replace(
+            "name = fig2-optimal", "name = green-kernel\nbasis_size = 400"
+        )
+        path = write_config(tmp_path, wide)
+        code = main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert "raw vector 364" in err and "overflows" in err
+
     def test_matched_input_at_large_alpha_has_no_overflow(self, tmp_path, capsys):
         strong = GOOD_CONFIG.replace("alpha = 5.5", "alpha = 80.0")
         path = write_config(tmp_path, strong)
@@ -246,6 +259,13 @@ class TestScenarioRuns:
         cfg = load_config(write_config(tmp_path, text))
         summary = run(cfg, tmp_path / "out")
         assert summary["results"]["w_out"] == pytest.approx(0.98, abs=0.01)
+
+    def test_kernel_scenario_writes_no_basis(self, tmp_path):
+        text = GOOD_CONFIG.replace("name = fig2-optimal", "name = green-kernel")
+        cfg = load_config(write_config(tmp_path, text))
+        run(cfg, tmp_path / "out")
+        written = sorted(p.name for p in (tmp_path / "out").iterdir())
+        assert written == ["dominant_mode.csv", "singular_values.csv", "summary.json"]
 
     def test_determinism_excluding_metadata(self, tmp_path):
         cfg = load_config(write_config(tmp_path, GOOD_CONFIG))

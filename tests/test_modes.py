@@ -159,6 +159,12 @@ class TestGramSchmidtFamily:
         with pytest.raises(DegenerateBasisError):
             gram_schmidt_family(seed, polynomial_raw_basis(seed, 9, 5.0))
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_raw_vector_is_named(self, opt_seed):
+        # the window reaches t - 3 = 7, and 7^365 > 1.8e308
+        with pytest.raises(DegenerateBasisError, match="raw vector 364 overflows"):
+            polynomial_raw_basis(opt_seed, 399, 3.0)
+
     def test_seed_must_be_unit_norm(self, opt_seed):
         bad_seed = TemporalSignal(opt_seed.grid, 1.5 * opt_seed.values)
         with pytest.raises(NonOrthonormalBasisError):
