@@ -2,10 +2,10 @@
 
 The central figure of merit is the unconverted signal energy W_out, the
 integral of |S_out|^2 over the window. Selectivity is quantified by driving
-the chosen model once per member of an orthonormal input basis, assembling
-the linear map from input coefficients to the converted-channel output
-(final stored amplitude plus whatever already leaked out), and reading the
-singular value spectrum: a rank-1 map converts exactly one temporal mode.
+the chosen model with an orthonormal input basis in one batched pass,
+assembling the linear map from input coefficients to the converted-channel
+output (final stored amplitude plus whatever already leaked out), and
+reading the singular value spectrum: a rank-1 map converts one mode.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .cavity import (
 )
 from .errors import InstabilityError, UndefinedResidualError
 from .modes import ModeFamily, optimal_input_mode
-from .signals import TemporalSignal, normalize, quadrature_weights
+from .signals import TemporalSignal, normalize, quadrature_weights, require_same_grid
 
 SPEED_OF_LIGHT = 299792458.0  # m/s
 
@@ -35,10 +35,6 @@ SPEED_OF_LIGHT = 299792458.0  # m/s
 PLATEAU_TAIL_FRACTION = 1e-3
 
 MODELS = ("full", "reduced", "analytic")
-
-# exp() argument ceiling; analytic_conversion forms exp(+f_s eps), which
-# overflows double precision beyond it, so such scan points are skipped
-_EXP_LIMIT = 700.0
 
 
 @dataclass(frozen=True)
@@ -126,26 +122,22 @@ def green_kernel(
 ) -> SchmidtReport:
     """Assemble and decompose the conversion kernel over an input basis.
 
-    Drives the chosen model with every basis mode, the integrators in one
-    batched pass (the :class:`ModeFamily` constructor has certified
-    orthonormality, so coefficient-space column norms are physical
-    energies). The dominant right singular vector is the best-converting
-    input reachable within the basis span; for the closed-form model the
-    kernel is exactly rank 1.
+    Drives the chosen model with every basis mode in one batched pass (the
+    :class:`ModeFamily` constructor has certified orthonormality, so column
+    norms are physical energies). The dominant right singular vector is the
+    best-converting input within the basis span. The closed form drops the
+    slow decay, so nothing leaks and its kernel is exactly rank 1.
     """
     if model not in MODELS:
         raise ValueError(f"model must be one of {MODELS}, got {model!r}")
     if len(basis) < 2:
         raise ValueError("basis must contain at least 2 modes")
-    matrix = np.zeros((basis.grid.n_samples + 1, len(basis)), complex, order="F")
-    if model == "analytic":
-        for j, mode in enumerate(basis):
-            matrix[0, j] = analytic_conversion(params, control, mode)[1]
-    else:
-        _converted_amplitudes(params, control, basis.values, model, matrix[1:])
-        matrix[0] = matrix[-1]
-        matrix[1:] *= math.sqrt(2.0 * params.gamma_c)
-        matrix[1:] *= np.sqrt(quadrature_weights(basis.grid))[:, None]
+    grid = require_same_grid(control, basis)
+    matrix = np.zeros((grid.n_samples + 1, len(basis)), complex, order="F")
+    _converted_amplitudes(params, control, basis.values, model, matrix[1:])
+    matrix[0] = matrix[-1]
+    matrix[1:] *= 0.0 if model == "analytic" else math.sqrt(2.0 * params.gamma_c)
+    matrix[1:] *= np.sqrt(quadrature_weights(grid))[:, None]
 
     sv, vh = np.linalg.svd(matrix, full_matrices=False)[1:]
     efficiencies = sv**2
@@ -189,10 +181,10 @@ def scan_alpha(
     """Sweep the coupling strength, re-deriving the matched input each time.
 
     The matched input depends on alpha through f_s, so it is rebuilt (and
-    unit-normalized on the grid) per point before the run. Points where the
-    integration diverges are recorded as NaN and excluded from the argmin;
-    ties break toward smaller alpha. For the closed-form model W_out is
-    taken as 1 - |C(end)|^2, its lossless energy balance.
+    unit-normalized on the grid) per point before the run. A point whose run
+    raises :class:`InstabilityError` or whose W_out is not finite diverged:
+    it is recorded as NaN and left out of the argmin; ties break toward
+    smaller alpha. The closed form's W_out is 1 - |C(end)|^2 (lossless balance).
     """
     alphas = [float(a) for a in alpha_grid]
     if len(alphas) < 3:
@@ -203,43 +195,32 @@ def scan_alpha(
         raise ValueError(f"model must be one of {MODELS}, got {model!r}")
 
     w_list: list[float] = []
-    diverged: list[bool] = []
     for a in alphas:
         params = CavityParams(
             gamma_s=gamma_s, gamma_c=gamma_c, alpha=a,
             kappa_s=kappa_s, kappa_c=kappa_c,
         )
-        if 2.0 * params.f_s > _EXP_LIMIT:
-            w_list.append(math.nan)
-            diverged.append(True)
-            continue
         mode = normalize(optimal_input_mode(params, control))
         try:
             if model == "analytic":
-                _, c_end = analytic_conversion(params, control, mode)
-                w = 1.0 - abs(c_end) ** 2
+                w = 1.0 - abs(analytic_conversion(params, control, mode)[1]) ** 2
             else:
                 run = simulate_full if model == "full" else simulate_reduced
                 w = unconverted_energy(run(params, control, mode)).value
-            w_list.append(w)
-            diverged.append(False)
         except InstabilityError:
-            w_list.append(math.nan)
-            diverged.append(True)
+            w = math.nan
+        w_list.append(w if math.isfinite(w) else math.nan)
 
-    best_alpha = math.nan
-    best_w = math.inf
-    for a, w, bad in zip(alphas, w_list, diverged):
-        if not bad and w < best_w:
-            best_alpha, best_w = a, w
-    if math.isinf(best_w):
+    finite = [i for i, w in enumerate(w_list) if math.isfinite(w)]
+    if not finite:
         raise InstabilityError("every scan point diverged")
+    best = min(finite, key=w_list.__getitem__)
     return AlphaScanResult(
         alphas=tuple(alphas),
         w_out=tuple(w_list),
-        diverged=tuple(diverged),
-        best_alpha=best_alpha,
-        best_w_out=best_w,
+        diverged=tuple(math.isnan(w) for w in w_list),
+        best_alpha=alphas[best],
+        best_w_out=w_list[best],
     )
 
 

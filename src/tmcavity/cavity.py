@@ -25,9 +25,9 @@ the slow gt_c decay as well gives the closed form
 
     C(t) = i g_s exp(-f_s eps(t)) * Integral_0^t exp(f_s eps) Omega S_in dt'
 
-where eps(t) is the accumulated control pulse area Integral |Omega|^2. All
-three levels are implemented here; the closed form is the reference the
-two integrators are tested against.
+where eps(t) is the accumulated control pulse area Integral |Omega|^2; it
+is evaluated with shifted exponents and cannot overflow. All three levels
+are implemented here, and the closed form is the integrators' test reference.
 """
 
 from __future__ import annotations
@@ -189,13 +189,41 @@ def _step_maps(rhs, dim, dt, control, drives):
         yield slice(k0 + 1, k1 + 1), x + dt / 6.0 * (d1 + 2.0 * (d2 + d3) + d4)
 
 
+_EXP_SPAN = 600.0  # closed-form exponent block; exp(600) is 1e47 below overflow
+
+
+def _closed_form(params, control, drives, out):
+    """Write the closed-form C(t) of every drive row into the columns of ``out``.
+
+    A block's exponents are shifted by f_s eps at the sample before it (or
+    at its first sample, after a jump of _EXP_SPAN), so none exceeds
+    _EXP_SPAN; the running integral enters the next block scaled by
+    exp(old - new shift) <= 1. Below f_s eps = _EXP_SPAN: the plain formula.
+    """
+    a = params.f_s * cumulative_integral(control).values.real
+    out[0], k1, shift = 0.0, 1, 0.0
+    while k1 < len(a):
+        k0, prev = k1, shift
+        shift = a[k0 - 1] if a[k0] - a[k0 - 1] < _EXP_SPAN else a[k0]
+        k1 = max(np.searchsorted(a, shift + _EXP_SPAN), k0 + 1)
+        at = slice(k0 - 1, k1)
+        kernel = np.exp(a[at] - shift) * control.values[at] * drives[:, at]
+        steps = 0.5 * control.grid.dt * (kernel[:, 1:] + kernel[:, :-1])
+        if k0 > 1:
+            steps[:, 0] += integ[:, -1] * math.exp(prev - shift)
+        integ = np.cumsum(steps, axis=1, out=steps)
+        np.multiply(1j * params.g_s * np.exp(shift - a[k0:k1]), integ, out=out[k0:k1].T)
+
+
 def _converted_amplitudes(params, control, drives, model, out):
     """Write C(t) of every drive row into the columns of ``out`` in one pass.
 
-    X_{k+1} = M_k X_k + V_k runs on a ``(dim, m)`` array over the shared
-    step maps. A step costs one small matmul whatever m is, more than one
-    scalar step, so single runs keep their scalar loops.
+    The integrators run X_{k+1} = M_k X_k + V_k on a ``(dim, m)`` array over
+    the shared step maps; a step costs one small matmul whatever m is, more
+    than one scalar step, so single runs keep their scalar loops.
     """
+    if model == "analytic":
+        return _closed_form(params, control, drives, out)
     rhs, dim = (_full_rhs, 2) if model == "full" else (_reduced_rhs, 1)
     x = np.zeros((dim, len(drives)), dtype=complex)
     out[0] = 0.0
@@ -283,7 +311,8 @@ def analytic_conversion(
 ) -> tuple[TemporalSignal, complex]:
     """Closed-form converted amplitude of the reduced model without slow decay.
 
-    Returns the full C(t) history and its final value. Intended for the
+    Returns the full C(t) history and its final value, finite for any f_s
+    (see :func:`_closed_form`). Intended for the
     regime where the converted band barely leaks during the process
     (gamma_c + kappa_c ~ 0); the slow-decay term is dropped exactly as in
     the derivation. The running integrals share the trapezoid rule with the
@@ -291,15 +320,9 @@ def analytic_conversion(
     :func:`tmcavity.signals.inner_product` carry over at machine precision.
     """
     grid = require_same_grid(control, s_in)
-    fs = params.f_s
-    eps = cumulative_integral(control).values.real
-    kernel = np.exp(fs * eps) * control.values * s_in.values
-    integ = np.empty(grid.n_samples, dtype=complex)
-    integ[0] = 0.0
-    np.cumsum(0.5 * grid.dt * (kernel[1:] + kernel[:-1]), out=integ[1:])
-    c_vals = 1j * params.g_s * np.exp(-fs * eps) * integ
-    signal = TemporalSignal(grid, c_vals)
-    return signal, complex(c_vals[-1])
+    c_vals = np.empty((grid.n_samples, 1), dtype=complex)
+    _closed_form(params, control, s_in.values[None], c_vals)
+    return TemporalSignal(grid, c_vals[:, 0]), complex(c_vals[-1, 0])
 
 
 def trajectory_to_csv(traj: CavityTrajectory, path) -> None:

@@ -170,16 +170,12 @@ def _run_green_kernel(config, out):
     return {
         "model": config.model,
         "basis_size": config.basis_size,
-        "singular_values": [float(v) for v in report.singular_values],
+        "singular_values": [float(v) for v in sv],
         "conversion_efficiencies": [float(v) for v in eff],
         "dominant_efficiency": float(eff[0]),
         "contrast": contrast,
         "schmidt_number": float(report.schmidt_number),
-        "sigma2_over_sigma1": float(
-            report.singular_values[1] / report.singular_values[0]
-        )
-        if report.singular_values[0] > 0
-        else 0.0,
+        "sigma2_over_sigma1": float(sv[1] / sv[0]) if sv[0] > 0 else 0.0,
     }
 
 

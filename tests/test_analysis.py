@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from tmcavity import (
     CavityParams,
+    GridMismatchError,
     InstabilityError,
     ModeFamily,
     TemporalSignal,
@@ -31,6 +32,7 @@ from tmcavity import (
     simulate_reduced,
     unconverted_energy,
 )
+from tmcavity import analysis
 from tmcavity.cavity import _STEP_BLOCK
 
 BENCH = dict(gamma_s=10.1, gamma_c=0.01, alpha=5.5)
@@ -172,6 +174,18 @@ class TestGreenKernel:
     def test_unknown_model_rejected(self, bench_params, control, family8):
         with pytest.raises(ValueError):
             green_kernel(bench_params, control, family8, model="exact")
+
+    @pytest.mark.parametrize("model", ["full", "reduced", "analytic"])
+    @pytest.mark.parametrize(
+        "basis_grid", [TimeGrid(0.0, 12.0, 2001), TimeGrid(0.0, 10.0, 1001)]
+    )
+    def test_basis_on_another_grid_is_rejected(self, model, basis_grid):
+        params = CavityParams(**BENCH)
+        control = gaussian_control(3.0, TimeGrid(0.0, 10.0, 2001))
+        seed = normalize(optimal_input_mode(params, gaussian_control(3.0, basis_grid)))
+        basis = gram_schmidt_family(seed, polynomial_raw_basis(seed, 3, 3.0))
+        with pytest.raises(GridMismatchError, match="different grids"):
+            green_kernel(params, control, basis, model=model)
 
 
 def _chirped_control(grid, center, width, chirp):
@@ -323,7 +337,15 @@ class TestScanAlpha:
         fine = scan_alpha([4.0 + 0.25 * k for k in range(13)], **kw)
         assert abs(coarse.best_alpha - fine.best_alpha) <= 0.5
 
-    def test_diverging_points_are_excluded(self):
+    def test_diverging_points_are_excluded(self, monkeypatch):
+        # RK4 stays finite at every matched input tried at gamma_s = 10.1, so
+        # the alpha = 400 run is made to diverge
+        def run(params, control, mode):
+            if params.alpha == 400.0:
+                raise InstabilityError("integration diverged")
+            return simulate_full(params, control, mode)
+
+        monkeypatch.setattr(analysis, "simulate_full", run)
         grid = TimeGrid(0.0, 10.0, 101)
         control = gaussian_control(3.0, grid)
         scan = scan_alpha(
@@ -336,6 +358,37 @@ class TestScanAlpha:
         assert scan.diverged[-1]
         assert math.isnan(scan.w_out[-1])
         assert scan.best_alpha in (1.0, 2.0)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_w_out_counts_as_diverged(self):
+        # the trajectory stays finite but |S_out|^2 overflows to inf
+        grid = TimeGrid(0.0, 10.0, 101)
+        control = gaussian_control(3.0, grid)
+        scan = scan_alpha(
+            [1.0, 2.0, 400.0],
+            gamma_s=100.0,
+            gamma_c=0.01,
+            control=control,
+            model="full",
+        )
+        assert scan.diverged[:2] == (True, True)
+        assert all(math.isnan(w) for w in scan.w_out[:2])
+
+    @pytest.mark.parametrize("model", ["full", "reduced", "analytic"])
+    def test_strong_coupling_is_never_diverged(self, control, model):
+        # 2 f_s reaches 1267 at alpha = 80; the analytic W_out follows
+        # exp(-2 f_s) down to the window's quadrature floor
+        alphas = [0.5, 5.5, 30.0, 61.0, 70.0, 80.0]
+        gamma_c = 0.0 if model == "analytic" else BENCH["gamma_c"]
+        scan = scan_alpha(
+            alphas, gamma_s=BENCH["gamma_s"], gamma_c=gamma_c,
+            control=control, model=model,
+        )
+        assert not any(scan.diverged)
+        assert all(0.0 <= w <= 1.0 for w in scan.w_out)
+        if model == "analytic":
+            for a, w in zip(alphas, scan.w_out):
+                assert w == pytest.approx(math.exp(-2.0 * a**2 / 10.1), abs=1e-5)
 
 
 class TestPhysicalUnits:

@@ -16,6 +16,7 @@ from tmcavity import (
     TimeGrid,
     analytic_conversion,
     conservation_residual,
+    cumulative_integral,
     gaussian_control,
     gram_schmidt_family,
     hermite_gaussian,
@@ -27,6 +28,7 @@ from tmcavity import (
     trajectory_to_csv,
     unconverted_energy,
 )
+from tmcavity import cavity
 from tmcavity.cavity import _STEP_BLOCK
 
 BENCH = dict(gamma_s=10.1, gamma_c=0.01, alpha=5.5)
@@ -252,6 +254,47 @@ class TestAnalyticConversion:
         par = CavityParams(gamma_s=10.1, gamma_c=0.0, alpha=0.0)
         c_sig, c_end = analytic_conversion(par, control, control)
         assert np.all(c_sig.values == 0.0) and c_end == 0.0
+
+    @pytest.mark.parametrize("span", [1e-3, 0.5, 7.0, 600.0])
+    @pytest.mark.parametrize("alpha", [5.5, 80.0])
+    def test_blocks_match_the_formula_as_written(
+        self, monkeypatch, control, family8, span, alpha
+    ):
+        # below exp(709) the unshifted formula is exact enough to compare;
+        # small spans cut the window into many blocks, some after a step in
+        # which f_s eps jumps by more than a span
+        par = CavityParams(gamma_s=10.1, gamma_c=0.0, alpha=alpha)
+        eps = cumulative_integral(control).values.real
+        kernel = np.exp(par.f_s * eps) * control.values * family8.values
+        integ = np.zeros_like(kernel)
+        integ[:, 1:] = np.cumsum(
+            0.5 * control.grid.dt * (kernel[:, 1:] + kernel[:, :-1]), axis=1
+        )
+        expected = 1j * par.g_s * np.exp(-par.f_s * eps) * integ
+        monkeypatch.setattr(cavity, "_EXP_SPAN", span)
+        for mode, want in zip(family8, expected):
+            got = analytic_conversion(par, control, mode)[0].values
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("alpha", [1e4, 1e8, 1e20, 1e100])
+    def test_history_is_finite_for_any_coupling(self, alpha):
+        # f_s eps jumps by far more than exp() can take within one step
+        grid = TimeGrid(0.0, 10.0, 1001)
+        control = gaussian_control(3.0, grid)
+        par = CavityParams(gamma_s=10.1, gamma_c=0.0, alpha=alpha)
+        c_sig, c_end = analytic_conversion(par, control, control)
+        assert np.isfinite(c_sig.values).all() and np.isfinite(c_end)
+
+    @pytest.mark.parametrize("alpha", [100.0, 300.0, 1000.0])
+    def test_large_coupling_stays_finite_and_matches_reduced(self, control, alpha):
+        # 2 f_s reaches 2e5 here, far past exp() overflow of the unshifted form
+        par = CavityParams(gamma_s=10.1, gamma_c=0.0, alpha=alpha)
+        mode = normalize(optimal_input_mode(par, control))
+        c_sig, c_end = analytic_conversion(par, control, mode)
+        assert np.isfinite(c_sig.values).all()
+        assert abs(c_end) ** 2 == pytest.approx(1.0, abs=1e-5)
+        reduced = simulate_reduced(par, control, mode)
+        assert np.abs(reduced.C.values - c_sig.values).max() < 1e-5
 
 
 class TestModelAgreement:

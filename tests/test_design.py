@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tmcavity import (
+    CavityParams,
     DesignInputs,
     InvalidRegularizationError,
     TemporalSignal,
@@ -133,14 +136,30 @@ class TestDesignInvariants:
             w_values.append(unconverted_energy(traj).value)
         assert max(w_values) - min(w_values) < 0.003
 
-    def test_global_phase_does_not_change_energy(self, bench_params, grid10):
-        target = hermite_gaussian(0, 3.0, grid10)
-        w_values = []
-        for theta in (0.0, 1.3):
-            control = design_control(make_inputs(target, bench_params, theta=theta))
-            traj = simulate_full(bench_params, control, target)
-            w_values.append(unconverted_energy(traj).value)
-        assert abs(w_values[0] - w_values[1]) < 1e-9
+    @settings(max_examples=30, deadline=None)
+    @given(
+        theta=st.floats(-2.0 * np.pi, 2.0 * np.pi),
+        order=st.integers(0, 3),
+        alpha=st.floats(1.0, 10.0),
+    )
+    def test_global_phase_does_not_change_energy(self, grid10, theta, order, alpha):
+        # exp(i theta) on the control moves only the converted band's phase
+        params = CavityParams(gamma_s=10.1, gamma_c=0.01, alpha=alpha)
+        target = hermite_gaussian(order, 5.0, grid10)
+        plain = design_control(make_inputs(target, params))
+        turned = design_control(make_inputs(target, params, theta=theta))
+        phase = np.exp(1j * theta)
+
+        def close(a, b):
+            return np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
+        assert close(turned.values, phase * plain.values)
+        ref = simulate_full(params, plain, target)
+        traj = simulate_full(params, turned, target)
+        assert close(traj.C.values, phase * ref.C.values)
+        assert close(traj.S.values, ref.S.values)
+        w_ref = unconverted_energy(ref).value
+        assert unconverted_energy(traj).value == pytest.approx(w_ref, rel=1e-12)
 
     def test_reduced_model_reflects_almost_nothing(self, bench_params, designed_hg0):
         target, control, _ = designed_hg0
