@@ -50,9 +50,6 @@ class UnconvertedEnergy:
     tail_fraction: float
     plateaued: bool
 
-    def __float__(self) -> float:
-        return self.value
-
 
 def unconverted_energy(traj: CavityTrajectory) -> UnconvertedEnergy:
     """Integrated |S_out|^2 over the trajectory window."""
@@ -182,9 +179,10 @@ def scan_alpha(
 
     The matched input depends on alpha through f_s, so it is rebuilt (and
     unit-normalized on the grid) per point before the run. A point whose run
-    raises :class:`InstabilityError` or whose W_out is not finite diverged:
-    it is recorded as NaN and left out of the argmin; ties break toward
-    smaller alpha. The closed form's W_out is 1 - |C(end)|^2 (lossless balance).
+    raises :class:`InstabilityError` or whose W_out is negative or not finite
+    diverged: it is recorded as NaN and left out of the argmin; ties break
+    toward smaller alpha. The closed form's W_out is 1 - |C(end)|^2 (lossless
+    balance), which goes negative once the grid no longer resolves exp(f_s eps).
     """
     alphas = [float(a) for a in alpha_grid]
     if len(alphas) < 3:
@@ -209,7 +207,7 @@ def scan_alpha(
                 w = unconverted_energy(run(params, control, mode)).value
         except InstabilityError:
             w = math.nan
-        w_list.append(w if math.isfinite(w) else math.nan)
+        w_list.append(w if 0.0 <= w < math.inf else math.nan)
 
     finite = [i for i, w in enumerate(w_list) if math.isfinite(w)]
     if not finite:

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatchError, InstabilityError
+from .errors import InstabilityError
 from .signals import (
     TemporalSignal,
     TimeGrid,
@@ -134,15 +134,6 @@ def _check_finite(arrays, grid, start=0):
             f"integration diverged: first non-finite amplitude at sample {k} "
             f"(t = {grid.times[k]:.6g}); reduce dt or the fastest rate"
         )
-
-
-def _resolve_grid(control, s_in, grid):
-    common = require_same_grid(control, s_in)
-    if grid is not None and grid != common:
-        raise GridMismatchError(
-            f"drive signals live on {common}, not the requested {grid}"
-        )
-    return common
 
 
 def _full_rhs(params):
@@ -243,12 +234,12 @@ def simulate_full(
     params: CavityParams,
     control: TemporalSignal,
     s_in: TemporalSignal,
-    grid: TimeGrid | None = None,
 ) -> CavityTrajectory:
     """Integrate the full two-mode model with fixed-step 4th-order Runge-Kutta.
 
-    Both amplitudes start from zero (empty cavity). Drive envelopes are
-    sampled on the grid and linearly interpolated at the half steps. Each
+    Both amplitudes start from zero (empty cavity). The grid is the drives'
+    common grid; drives on different grids raise :class:`GridMismatchError`.
+    Drive envelopes are linearly interpolated at the half steps. Each
     step is applied as its affine map (see :func:`_step_maps`), so only a
     two-amplitude recurrence runs per sample. At the default step (dt =
     1e-3 against rates of order 10) the scheme is deeply inside the RK4
@@ -257,7 +248,7 @@ def simulate_full(
     Raises :class:`InstabilityError` naming the first bad sample if the
     integration produces a non-finite amplitude.
     """
-    g = _resolve_grid(control, s_in, grid)
+    g = require_same_grid(control, s_in)
     s_arr, c_arr = np.zeros((2, g.n_samples), dtype=complex)
     s = c = 0j
     for at, stepped in _step_maps(_full_rhs(params), 2, g.dt, control, s_in.values[None]):
@@ -277,15 +268,15 @@ def simulate_reduced(
     params: CavityParams,
     control: TemporalSignal,
     s_in: TemporalSignal,
-    grid: TimeGrid | None = None,
 ) -> CavityTrajectory:
     """Integrate the adiabatically reduced model (fast signal band).
 
     Only C(t) is stepped with RK4; S(t) is reconstructed algebraically from
     the instantaneous drive and C, and the outputs follow from the same
-    input-output relations as the full model.
+    input-output relations as the full model. The grid is the drives' common
+    grid; drives on different grids raise :class:`GridMismatchError`.
     """
-    g = _resolve_grid(control, s_in, grid)
+    g = require_same_grid(control, s_in)
     c_arr = np.zeros(g.n_samples, dtype=complex)
     c = 0j
     for at, stepped in _step_maps(_reduced_rhs(params), 1, g.dt, control, s_in.values[None]):
@@ -312,11 +303,11 @@ def analytic_conversion(
     """Closed-form converted amplitude of the reduced model without slow decay.
 
     Returns the full C(t) history and its final value, finite for any f_s
-    (see :func:`_closed_form`). Intended for the
-    regime where the converted band barely leaks during the process
-    (gamma_c + kappa_c ~ 0); the slow-decay term is dropped exactly as in
-    the derivation. The running integrals share the trapezoid rule with the
-    rest of the package, so orthogonality statements checked with
+    (see :func:`_closed_form`). Intended for the regime where the converted
+    band barely leaks during the process (gamma_c + kappa_c ~ 0); the
+    slow-decay term is dropped exactly as in the derivation. The running
+    integrals share the trapezoid rule with the rest of the package, so
+    orthogonality statements checked with
     :func:`tmcavity.signals.inner_product` carry over at machine precision.
     """
     grid = require_same_grid(control, s_in)

@@ -9,7 +9,7 @@ envelope through the impedance matching balance
 Its solution, regularized by the small ratio q between the target intensity
 and the control intensity at the start time, is
 
-    K(t) = f_s |S_in(t)|^2 / (q + 2 f_s Integral_t0^t |S_in|^2 dt'),
+    K(t) = f_s |S_in(t)|^2 / (q + 2 f_s Integral_t_start^t |S_in|^2 dt'),
 
 and the control magnitude follows as sqrt(K / f_s). The control phase
 cancels the target's phase up to one global constant, so targets with
@@ -46,28 +46,19 @@ class DesignInputs:
     computed from the same coupling strength used in the simulation).
     ``q`` sets the arbitrary early-time shape of the control before the
     target rises from zero; ``theta`` is the free global control phase.
-    ``t0`` defaults to the grid start, which must lie before the target
-    has any appreciable amplitude.
+    The running integral of the target starts at the grid start.
     """
 
     s_in: TemporalSignal
     f_s: float
     q: float
     theta: float = 0.0
-    t0: float | None = None
 
     def __post_init__(self):
         if self.q <= 0:
             raise InvalidRegularizationError(f"q must be > 0, got {self.q}")
         if self.f_s <= 0:
             raise ValueError(f"f_s must be > 0, got {self.f_s}")
-        if self.t0 is not None and self.t0 > self.s_in.grid.t_start:
-            amax = float(np.abs(self.s_in.values).max())
-            before = self.s_in.grid.times < self.t0
-            if np.any(np.abs(self.s_in.values[before]) > PHASE_FLOOR_REL * amax):
-                raise ValueError(
-                    "t0 must precede the target's rise from zero"
-                )
 
 
 def _denominator(inputs: DesignInputs) -> np.ndarray:

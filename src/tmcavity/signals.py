@@ -9,7 +9,6 @@ energy bookkeeping is consistent with the dynamics to quadrature accuracy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -72,25 +71,6 @@ class TemporalSignal:
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
-    def conjugate(self) -> "TemporalSignal":
-        return TemporalSignal(self.grid, np.conj(self.values))
-
-    def __add__(self, other: "TemporalSignal") -> "TemporalSignal":
-        require_same_grid(self, other)
-        return TemporalSignal(self.grid, self.values + other.values)
-
-    def __sub__(self, other: "TemporalSignal") -> "TemporalSignal":
-        require_same_grid(self, other)
-        return TemporalSignal(self.grid, self.values - other.values)
-
-    def __mul__(self, scale: complex) -> "TemporalSignal":
-        return TemporalSignal(self.grid, self.values * complex(scale))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, scale: complex) -> "TemporalSignal":
-        return TemporalSignal(self.grid, self.values / complex(scale))
-
 
 def require_same_grid(*signals: TemporalSignal) -> TimeGrid:
     """Return the common grid of the given signals, or raise."""
@@ -129,20 +109,14 @@ def norm(f: TemporalSignal) -> float:
     return float(np.sqrt(max(inner_product(f, f).real, 0.0)))
 
 
-def cumulative_integral(
-    f: TemporalSignal,
-    integrand_map: Callable[[np.ndarray], np.ndarray] | None = None,
-) -> TemporalSignal:
-    """Running trapezoid integral of ``integrand_map(f)`` from the window start.
+def cumulative_integral(f: TemporalSignal) -> TemporalSignal:
+    """Running trapezoid integral of ``|f|^2`` from the window start.
 
-    The default map is the squared magnitude, which turns a control envelope
-    into its accumulated pulse area; the first sample is exactly 0 and the
-    last equals the full-window trapezoid integral.
+    Turns a control envelope into its accumulated pulse area; the first
+    sample is exactly 0 and the last equals the full-window trapezoid
+    integral, i.e. the signal energy.
     """
-    if integrand_map is None:
-        g = np.abs(f.values) ** 2
-    else:
-        g = np.asarray(integrand_map(f.values))
+    g = np.abs(f.values) ** 2
     out = np.empty(f.grid.n_samples, dtype=complex)
     out[0] = 0.0
     np.cumsum(0.5 * f.grid.dt * (g[1:] + g[:-1]), out=out[1:])

@@ -43,7 +43,6 @@ class TestUnconvertedEnergy:
         w = unconverted_energy(traj_gaussian_input)
         assert w.value == pytest.approx(0.36, abs=0.04)
         assert w.plateaued
-        assert float(w) == w.value
 
     def test_no_coupling_everything_leaves_unconverted(self, control):
         par = CavityParams(gamma_s=10.1, gamma_c=0.0, alpha=0.0)
@@ -373,6 +372,20 @@ class TestScanAlpha:
         )
         assert scan.diverged[:2] == (True, True)
         assert all(math.isnan(w) for w in scan.w_out[:2])
+
+    def test_negative_w_out_counts_as_diverged(self, control):
+        # at alpha 1e6 the grid no longer resolves exp(f_s eps) and the
+        # closed form's 1 - |C(end)|^2 comes out negative, which no energy is
+        scan = scan_alpha(
+            [100.0, 1e3, 1e4, 1e5, 1e6],
+            gamma_s=BENCH["gamma_s"],
+            gamma_c=0.0,
+            control=control,
+            model="analytic",
+        )
+        assert scan.diverged == (False, False, False, False, True)
+        assert all(w > 0.0 for w in scan.w_out[:4])
+        assert scan.best_alpha == 100.0
 
     @pytest.mark.parametrize("model", ["full", "reduced", "analytic"])
     def test_strong_coupling_is_never_diverged(self, control, model):

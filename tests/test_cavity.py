@@ -189,19 +189,13 @@ class TestSimulateFull:
         with pytest.raises(InstabilityError, match="sample"):
             simulate_full(stiff, control, control)
 
-    def test_drives_must_share_grid(self, control):
+    @pytest.mark.parametrize(
+        "run", [simulate_full, simulate_reduced, analytic_conversion]
+    )
+    def test_drives_must_share_grid(self, control, run):
         other = gaussian_control(3.0, TimeGrid(0.0, 10.0, 5001))
         with pytest.raises(GridMismatchError):
-            simulate_full(CavityParams(**BENCH), control, other)
-
-    def test_explicit_grid_argument_is_checked(self, control):
-        with pytest.raises(GridMismatchError):
-            simulate_full(
-                CavityParams(**BENCH),
-                control,
-                control,
-                grid=TimeGrid(0.0, 10.0, 5001),
-            )
+            run(CavityParams(**BENCH), control, other)
 
 
 class TestSimulateReduced:
