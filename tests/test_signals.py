@@ -127,6 +127,22 @@ class TestCumulativeIntegral:
         out = cumulative_integral(TemporalSignal(grid, np.ones(2001)))
         assert out.values[-1].real == pytest.approx(2.0, abs=1e-12)
 
+    def test_integrates_squared_magnitude_of_complex_signal(self):
+        # a chirped phase must drop out: the integrand is |f|^2, not f^2 or Re f
+        grid = TimeGrid(0.0, 1.0, 1001)
+        f = TemporalSignal(grid, 2.0 * np.exp(1j * 7.0 * grid.times**2))
+        out = cumulative_integral(f)
+        assert np.all(out.values.imag == 0.0)
+        assert out.values.real == pytest.approx(4.0 * grid.times, abs=1e-12)
+
+    def test_starts_at_the_grid_start(self):
+        # shifting the window shifts the running integral with it
+        vals = np.exp(-np.linspace(-2.0, 2.0, 401) ** 2)
+        at_zero = cumulative_integral(TemporalSignal(TimeGrid(0.0, 4.0, 401), vals))
+        shifted = cumulative_integral(TemporalSignal(TimeGrid(5.0, 9.0, 401), vals))
+        assert shifted.values[0] == 0.0
+        np.testing.assert_allclose(shifted.values, at_zero.values, rtol=0, atol=1e-14)
+
     def test_final_sample_equals_signal_energy(self):
         rng = np.random.default_rng(11)
         grid = TimeGrid(0.0, 3.0, 501)
