@@ -138,10 +138,11 @@ def green_kernel(
 
     sv, vh = np.linalg.svd(matrix, full_matrices=False)[1:]
     efficiencies = sv**2
-    quartic = float((sv**4).sum())
-    if quartic > 0.0:
-        # >= 1 by Cauchy-Schwarz; a rank-1 kernel can round to 1 ulp below.
-        schmidt = max(1.0, float(efficiencies.sum()) ** 2 / quartic)
+    if sv[0] > 0.0:
+        # scale-free, so no power of sv can overflow; >= 1 by Cauchy-Schwarz,
+        # and a rank-1 kernel can round to 1 ulp below.
+        p = (sv / sv[0]) ** 2
+        schmidt = max(1.0, float(p.sum() ** 2 / (p**2).sum()))
     else:
         schmidt = 1.0  # no conversion channel at all
 

@@ -280,6 +280,28 @@ class TestBatchedKernelMatchesSingleRuns:
         with pytest.raises(InstabilityError, match=rf"at sample {expected} "):
             green_kernel(stiff, control, basis, model=model)
 
+    def test_large_coupling_kernel_names_the_stepped_sample(self, control):
+        # The reduced steps near the pulse peak are expansive at alpha 300.
+        # Their composed maps overflow at sample 2816, before the states do;
+        # stepping on from the last finite state names the sample that the
+        # step-by-step recurrence reaches.
+        params = CavityParams(gamma_s=10.1, gamma_c=0.0, alpha=300.0)
+        seed = normalize(optimal_input_mode(params, control))
+        basis = gram_schmidt_family(seed, polynomial_raw_basis(seed, 3, 3.0))
+        with pytest.raises(InstabilityError, match=r"at sample 2842 "):
+            green_kernel(params, control, basis, model="reduced")
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_expansive_kernel_has_a_finite_schmidt_number(self, seed):
+        # expansive reduced steps leave a finite singular value near 1e113,
+        # whose fourth power overflows
+        grid = TimeGrid(0.0, 10.0, 1024)
+        control = TemporalSignal(grid, np.exp(-((grid.times - 1.0) ** 2)))
+        params = CavityParams(gamma_s=0.125, gamma_c=0.0, alpha=9.0)
+        basis = _random_family(grid, 2, seed)
+        report = green_kernel(params, control, basis, model="reduced")
+        assert 1.0 <= report.schmidt_number < math.inf
+
 
 @pytest.fixture(scope="module")
 def coarse_scan(control):

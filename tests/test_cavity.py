@@ -12,6 +12,7 @@ from tmcavity import (
     CavityParams,
     GridMismatchError,
     InstabilityError,
+    ModeFamily,
     TemporalSignal,
     TimeGrid,
     analytic_conversion,
@@ -19,10 +20,13 @@ from tmcavity import (
     cumulative_integral,
     gaussian_control,
     gram_schmidt_family,
+    green_kernel,
     hermite_gaussian,
+    inner_product,
     normalize,
     optimal_input_mode,
     polynomial_raw_basis,
+    quadrature_weights,
     simulate_full,
     simulate_reduced,
     trajectory_to_csv,
@@ -432,6 +436,83 @@ class TestStepMapsMatchScalarLoops:
             simulate(stiff, control, control)
         named = int(re.search(r"sample (\d+)", str(info.value)).group(1))
         assert expected <= named <= expected + 1
+
+
+scan_lengths = st.sampled_from(
+    [1, 2, 3] + [2**k + d for k in range(2, 12) for d in (-1, 0, 1)]
+) | st.integers(1, 3000)
+
+
+@st.composite
+def affine_steps(draw):
+    """Random contractive maps M_k and drives V_k as (n, dim, dim), (n, dim, cols)."""
+    n = draw(scan_lengths, label="n")
+    dim, cols = draw(st.sampled_from([1, 2])), draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = rng.standard_normal((n, dim, dim)) + 1j * rng.standard_normal((n, dim, dim))
+    m *= rng.uniform(0.0, 1.0, (n, 1, 1)) / np.linalg.norm(
+        m, 2, axis=(1, 2), keepdims=True
+    )
+    v = rng.standard_normal((n, dim, cols)) + 1j * rng.standard_normal((n, dim, cols))
+    return m, v
+
+
+class TestAffineScan:
+    """The odd-even scan solves the step-map recurrence of the integrators."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(steps=affine_steps())
+    def test_matches_a_step_by_step_loop(self, steps):
+        m, v = steps
+        x = np.zeros(v.shape[1:], dtype=complex)
+        expected = []
+        for m_k, v_k in zip(m, v):
+            x = m_k @ x + v_k
+            expected.append(x)
+        expected = np.stack(expected, axis=2)
+        got = np.empty_like(expected)
+        cavity._affine_scan(m.transpose(1, 2, 0), v.transpose(1, 2, 0), got)
+        assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    def test_undriven_expansive_stretch_stays_on_the_scan(self, monkeypatch):
+        # A strong control pulse at t = 2 makes the steps around it expansive
+        # in both models, so their composed maps overflow, while the drive is
+        # exactly 0 until t = 5. The state is exactly 0 there too, so the
+        # runs stay finite, agree with the loops, and need no forward
+        # stepping: O(log n) map products per run, not one per sample.
+        grid = TimeGrid(0.0, 10.0, 1001)
+        t = grid.times
+        control = TemporalSignal(grid, 200.0 * np.exp(-((t - 2.0) ** 2)))
+        late = np.where(t >= 5.0, np.exp(-((t - 7.0) ** 2)), 0.0)
+        first = normalize(TemporalSignal(grid, late))
+        raw = TemporalSignal(grid, (t - 7.0) * first.values)
+        second = raw.values - inner_product(first, raw) * first.values
+        basis = ModeFamily(
+            grid, np.array([first.values, normalize(TemporalSignal(grid, second)).values])
+        )
+        par = CavityParams(**BENCH)
+        products = []
+        apply = cavity._apply
+        monkeypatch.setattr(
+            cavity, "_apply", lambda m, x: products.append(1) or apply(m, x)
+        )
+        c_out_weight = np.sqrt(2.0 * par.gamma_c * quadrature_weights(grid))
+        for model, simulate, reference in (
+            ("full", simulate_full, reference_full),
+            ("reduced", simulate_reduced, reference_reduced),
+        ):
+            expected = np.empty((grid.n_samples + 1, len(basis)), complex)
+            for j, mode in enumerate(basis):
+                traj = simulate(par, control, mode)
+                old_s, old_c = reference(par, control, mode)
+                for new, old in ((traj.S.values, old_s), (traj.C.values, old_c)):
+                    assert np.isfinite(new).all()
+                    assert np.abs(new - old).max() <= 1e-12 * np.abs(old).max()
+                expected[0, j], expected[1:, j] = old_c[-1], c_out_weight * old_c
+            matrix = green_kernel(par, control, basis, model=model).response_matrix
+            assert np.abs(matrix - expected).max() <= 1e-12 * np.abs(expected).max()
+        runs = 2 * (len(basis) + 1)
+        assert len(products) <= runs * 3 * math.ceil(math.log2(grid.n_samples))
 
 
 class TestPhysicsProperties:
