@@ -50,7 +50,6 @@ from .modes import (
     gaussian_control,
     gram_schmidt_family,
     hermite_gaussian,
-    mode_family_to_csv,
     optimal_input_mode,
     polynomial_raw_basis,
 )
@@ -59,10 +58,8 @@ from .signals import (
     TimeGrid,
     cumulative_integral,
     inner_product,
-    norm,
     normalize,
     quadrature_weights,
-    signal_from_csv,
     signal_to_csv,
 )
 

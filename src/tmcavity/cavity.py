@@ -126,16 +126,6 @@ def _assemble_trajectory(params, grid, s_arr, c_arr, s_in, control):
     )
 
 
-def _check_finite(arrays, grid):
-    bad = np.flatnonzero(~np.isfinite(arrays).all(axis=0))
-    if bad.size:
-        k = int(bad[0])
-        raise InstabilityError(
-            f"integration diverged: first non-finite amplitude at sample {k} "
-            f"(t = {grid.times[k]:.6g}); reduce dt or the fastest rate"
-        )
-
-
 def _full_rhs(params):
     gts, gtc = params.gamma_tilde_s, params.gamma_tilde_c
     r2gs, ia = math.sqrt(2.0 * params.gamma_s), 1j * params.alpha
@@ -211,15 +201,27 @@ def _affine_scan(m, v, x):
     x[:, :, 2::2] += v[:, :, 2::2]
 
 
+def _norms(a):
+    """2-norms over the amplitude axis of ``(dim, ...)`` complex ``a``, without
+    squaring, so denormal amplitudes do not underflow to 0."""
+    out = np.abs(a[0])
+    for row in a[1:]:
+        np.hypot(out, np.abs(row), out=out)
+    return out
+
+
 def _integrate(rhs, dim, control, drives):
     """Amplitudes of an empty cavity under every drive row, ``(dim, m, n_samples)``.
 
     Solves X_{k+1} = M_k X_k + V_k over the window's step maps with
-    :func:`_affine_scan`, on all drive rows at once. Raises
-    :class:`InstabilityError` naming the first non-finite sample.
+    :func:`_affine_scan`, on all drive rows at once. The cavity is passive,
+    so no state of a row can exceed the drive fed in so far, Sum_{j<k} |V_j|;
+    :class:`InstabilityError` names the first sample that does, by more
+    than 1e-9 of the row's whole-run sum (a non-finite state always does).
     """
     grid = control.grid
     x = np.zeros((dim, len(drives), grid.n_samples), dtype=complex)
+    bound = np.zeros((len(drives), grid.n_samples))
     with np.errstate(all="ignore"):
         maps = _step_maps(rhs, dim, grid.dt, control, drives)
         m, v = maps[:, :dim], maps[:, dim:]
@@ -229,17 +231,22 @@ def _integrate(rhs, dim, control, drives):
             # undriven steps before it could only give inf * 0 = NaN
             k0 = driven[0]
             _affine_scan(m[:, :, k0:], v[:, :, k0:], x[:, :, k0 + 1 :])
-        bad = np.flatnonzero(~np.isfinite(x).all(axis=(0, 1)))
-        # a composed map can overflow before the states it carries do: step
-        # on from the last finite state, so the sample named is the one the
-        # step-by-step recurrence reaches, or the run ends finite
-        for k in range(bad[0] if bad.size else grid.n_samples, grid.n_samples):
-            x[:, :, k] = _apply(m[:, :, k - 1 : k], x[:, :, k - 1 : k])[:, :, 0]
-            x[:, :, k] += v[:, :, k - 1]
-            if not np.isfinite(x[:, :, k]).all():
-                break
-    _check_finite(x.reshape(-1, grid.n_samples), grid)
+        np.cumsum(_norms(v), axis=1, out=bound[:, 1:])
+        del maps, m, v
+        bound += 1e-9 * bound[:, -1:]
+        # capped, so no inf or NaN state passes where the drive sum is not finite
+        np.fmin(bound, np.finfo(float).max, out=bound)
+        bad = np.flatnonzero(~(_norms(x) <= bound).all(axis=0))
+    if bad.size:
+        raise _unstable(grid, int(bad[0]), "amplitude exceeds the drive fed in")
     return x
+
+
+def _unstable(grid, k, what):
+    return InstabilityError(
+        f"integration unstable: {what} at sample {k} (t = {grid.times[k]:.6g}); "
+        "reduce dt or the fastest rate"
+    )
 
 
 _EXP_SPAN = 600.0  # closed-form exponent block; exp(600) is 1e47 below overflow
@@ -296,8 +303,9 @@ def simulate_full(
     step (dt = 1e-3 against rates of order 10) the scheme is deeply inside
     the RK4 stability region and dt-halving tests resolve W_out below 1e-6.
 
-    Raises :class:`InstabilityError` naming the first bad sample if the
-    integration produces a non-finite amplitude.
+    The cavity is passive, so the amplitudes can never outgrow the drive fed
+    in so far; :class:`InstabilityError` names the first sample at which
+    they do, as expansive (unstable) RK4 steps make them.
     """
     g = require_same_grid(control, s_in)
     s_arr, c_arr = _integrate(_full_rhs(params), 2, control, s_in.values[None])[:, 0]
@@ -315,15 +323,23 @@ def simulate_reduced(
     S(t) is reconstructed algebraically from the instantaneous drive and C,
     and the outputs follow from the same input-output relations as the full
     model. The grid is the drives' common grid; drives on different grids
-    raise :class:`GridMismatchError`.
+    raise :class:`GridMismatchError`. C(t) is checked against the drive fed
+    in, and :class:`InstabilityError` raised, as in :func:`simulate_full`;
+    it is also raised where the reconstructed S(t) overflows.
     """
     g = require_same_grid(control, s_in)
     c_arr = _integrate(_reduced_rhs(params), 1, control, s_in.values[None])[0, 0]
-    s_arr = (
-        1j * (params.alpha / params.gamma_tilde_s) * np.conj(control.values) * c_arr
-        + np.sqrt(2.0 * params.gamma_s) / params.gamma_tilde_s * s_in.values
-    )
-    _check_finite((s_arr,), g)
+    with np.errstate(over="ignore", invalid="ignore"):
+        s_arr = (
+            1j * (params.alpha / params.gamma_tilde_s)
+            * np.conj(control.values) * c_arr
+            + np.sqrt(2.0 * params.gamma_s) / params.gamma_tilde_s * s_in.values
+        )
+    # S is alpha / gt_s times C: a huge alpha can overflow it while C keeps
+    # its bound, as on a one-step grid, where C is its own step drive
+    bad = np.flatnonzero(~np.isfinite(s_arr))
+    if bad.size:
+        raise _unstable(g, int(bad[0]), "the signal amplitude S overflows")
     return _assemble_trajectory(params, g, s_arr, c_arr, s_in, control)
 
 

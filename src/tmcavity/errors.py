@@ -14,7 +14,7 @@ class DegenerateSignalError(TmCavityError):
 
 
 class InstabilityError(TmCavityError):
-    """Time integration produced a non-finite amplitude."""
+    """Time integration let an amplitude outgrow the drive fed in, or overflow."""
 
 
 class WindowClippingError(TmCavityError):

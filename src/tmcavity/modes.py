@@ -24,7 +24,6 @@ from .errors import (
 from .signals import (
     TemporalSignal,
     TimeGrid,
-    _write_csv,
     cumulative_integral,
     inner_product,
     normalize,
@@ -208,16 +207,6 @@ def polynomial_raw_basis(seed: TemporalSignal, count: int, center: float) -> np.
     if bad.size:
         raise DegenerateBasisError(f"raw vector {bad[0]} overflows double precision")
     return raw
-
-
-def mode_family_to_csv(family: ModeFamily, path) -> None:
-    """Write a family as ``t`` plus one re/im column pair per mode."""
-    header = ["t"]
-    columns = [family.grid.times]
-    for k, row in enumerate(family.values):
-        header += [f"mode{k}_re", f"mode{k}_im"]
-        columns += [row.real, row.imag]
-    _write_csv(path, header, columns)
 
 
 def _require_margin(center, grid, margin, what):

@@ -104,11 +104,6 @@ def inner_product(a: TemporalSignal, b: TemporalSignal) -> complex:
     )
 
 
-def norm(f: TemporalSignal) -> float:
-    """L2 norm of a signal, sqrt of its trapezoid energy."""
-    return float(np.sqrt(max(inner_product(f, f).real, 0.0)))
-
-
 def cumulative_integral(f: TemporalSignal) -> TemporalSignal:
     """Running trapezoid integral of ``|f|^2`` from the window start.
 
@@ -151,18 +146,3 @@ def signal_to_csv(signal: TemporalSignal, path) -> None:
     """Write a signal as ``t,re,im`` rows at full (round-trip) precision."""
     values = signal.values
     _write_csv(path, ("t", "re", "im"), (signal.grid.times, values.real, values.imag))
-
-
-def signal_from_csv(path) -> TemporalSignal:
-    """Read a ``t,re,im`` file back onto a freshly reconstructed grid."""
-    with open(path, "r", encoding="utf-8") as fh:
-        if fh.readline().strip() != "t,re,im":
-            raise ValueError(f"{path}: missing required 't,re,im' header row")
-    data = np.genfromtxt(path, delimiter=",", skip_header=1, dtype=float)
-    if data.ndim != 2 or data.shape[1] != 3 or data.shape[0] < 2:
-        raise ValueError(f"{path}: expected at least two t,re,im rows")
-    t = data[:, 0]
-    grid = TimeGrid(float(t[0]), float(t[-1]), len(t))
-    if not np.allclose(t, grid.times, rtol=0.0, atol=1e-9 * max(grid.dt, 1.0)):
-        raise ValueError(f"{path}: time column is not uniformly spaced")
-    return TemporalSignal(grid, data[:, 1] + 1j * data[:, 2])

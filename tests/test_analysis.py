@@ -1,7 +1,6 @@
 """Diagnostics, kernel decomposition, coupling sweep, and unit conversion."""
 
 import math
-import re
 
 import numpy as np
 import pytest
@@ -34,6 +33,13 @@ from tmcavity import (
 )
 from tmcavity import analysis
 from tmcavity.cavity import _STEP_BLOCK
+
+from reference_loops import (
+    first_unbounded_sample,
+    named_sample,
+    reference_full,
+    reference_reduced,
+)
 
 BENCH = dict(gamma_s=10.1, gamma_c=0.01, alpha=5.5)
 
@@ -203,15 +209,16 @@ def _random_family(grid, m, seed):
     return ModeFamily(grid, q.T / np.sqrt(quadrature_weights(grid)))
 
 
-def _named_sample(simulate, params, control, mode):
-    try:
-        simulate(params, control, mode)
-    except InstabilityError as exc:
-        return int(re.search(r"sample (\d+)", str(exc)).group(1))
-    return math.inf
-
-
 SIMULATORS = {"full": simulate_full, "reduced": simulate_reduced}
+REFERENCES = {"full": reference_full, "reduced": reference_reduced}
+
+
+def _earliest_unbounded_sample(model, params, control, basis):
+    named = (
+        first_unbounded_sample(REFERENCES[model], params, control, mode)
+        for mode in basis
+    )
+    return min((k for k in named if k is not None), default=None)
 
 
 @st.composite
@@ -249,13 +256,28 @@ class TestBatchedKernelMatchesSingleRuns:
     @settings(max_examples=30, deadline=None)
     @given(inputs=kernel_inputs())
     def test_columns_match_per_mode_runs(self, model, inputs):
+        # An expansive draw fails the kernel with the error of its single run
+        # that fails earliest, at the sample where the loop outgrows its drive.
         params, control, basis = inputs
         sqw = np.sqrt(quadrature_weights(basis.grid))
         expected = np.empty((basis.grid.n_samples + 1, len(basis)), complex)
+        failures = []
         for j, mode in enumerate(basis):
-            traj = SIMULATORS[model](params, control, mode)
+            try:
+                traj = SIMULATORS[model](params, control, mode)
+            except InstabilityError as exc:
+                failures.append((named_sample(exc), str(exc), mode))
+                continue
             expected[0, j] = traj.C.values[-1]
             expected[1:, j] = sqw * traj.C_out.values
+        if failures:
+            sample, message, mode = min(failures, key=lambda f: f[0])
+            reference = REFERENCES[model]
+            assert first_unbounded_sample(reference, params, control, mode) == sample
+            with pytest.raises(InstabilityError) as info:
+                green_kernel(params, control, basis, model=model)
+            assert str(info.value) == message
+            return
         matrix = green_kernel(params, control, basis, model=model).response_matrix
         assert np.abs(matrix - expected).max() <= 1e-12 * np.abs(expected).max()
 
@@ -272,35 +294,33 @@ class TestBatchedKernelMatchesSingleRuns:
         control = gaussian_control(3.0, grid)
         seed = normalize(optimal_input_mode(stiff, control))
         basis = gram_schmidt_family(seed, polynomial_raw_basis(seed, 7, 3.0))
-        expected = min(
-            _named_sample(SIMULATORS[model], stiff, control, mode)
-            for mode in basis
-        )
-        assert expected == 34
+        expected = _earliest_unbounded_sample(model, stiff, control, basis)
+        assert expected == 2
         with pytest.raises(InstabilityError, match=rf"at sample {expected} "):
             green_kernel(stiff, control, basis, model=model)
 
     def test_large_coupling_kernel_names_the_stepped_sample(self, control):
-        # The reduced steps near the pulse peak are expansive at alpha 300.
-        # Their composed maps overflow at sample 2816, before the states do;
-        # stepping on from the last finite state names the sample that the
-        # step-by-step recurrence reaches.
+        # The reduced steps near the pulse peak are expansive at alpha 300,
+        # and the states outgrow the drive well before any of them overflows.
         params = CavityParams(gamma_s=10.1, gamma_c=0.0, alpha=300.0)
         seed = normalize(optimal_input_mode(params, control))
         basis = gram_schmidt_family(seed, polynomial_raw_basis(seed, 3, 3.0))
-        with pytest.raises(InstabilityError, match=r"at sample 2842 "):
+        expected = _earliest_unbounded_sample("reduced", params, control, basis)
+        assert expected == 2636
+        with pytest.raises(InstabilityError, match=rf"at sample {expected} "):
             green_kernel(params, control, basis, model="reduced")
 
     @pytest.mark.parametrize("seed", range(5))
     def test_expansive_kernel_has_a_finite_schmidt_number(self, seed):
-        # expansive reduced steps leave a finite singular value near 1e113,
-        # whose fourth power overflows
+        # expansive reduced steps; a Schmidt number here would rest on a
+        # singular value near 1e113, which no passive cavity can produce
         grid = TimeGrid(0.0, 10.0, 1024)
         control = TemporalSignal(grid, np.exp(-((grid.times - 1.0) ** 2)))
         params = CavityParams(gamma_s=0.125, gamma_c=0.0, alpha=9.0)
         basis = _random_family(grid, 2, seed)
-        report = green_kernel(params, control, basis, model="reduced")
-        assert 1.0 <= report.schmidt_number < math.inf
+        expected = _earliest_unbounded_sample("reduced", params, control, basis)
+        with pytest.raises(InstabilityError, match=rf"at sample {expected} "):
+            green_kernel(params, control, basis, model="reduced")
 
 
 @pytest.fixture(scope="module")
@@ -380,20 +400,34 @@ class TestScanAlpha:
         assert math.isnan(scan.w_out[-1])
         assert scan.best_alpha in (1.0, 2.0)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_non_finite_w_out_counts_as_diverged(self):
-        # the trajectory stays finite but |S_out|^2 overflows to inf
+    def test_every_point_outgrowing_its_drive_raises(self):
+        # dt = 0.1 against gamma_s = 100: each run's states outgrow the drive
         grid = TimeGrid(0.0, 10.0, 101)
         control = gaussian_control(3.0, grid)
+        with pytest.raises(InstabilityError, match="every scan point diverged"):
+            scan_alpha(
+                [1.0, 2.0, 400.0],
+                gamma_s=100.0,
+                gamma_c=0.01,
+                control=control,
+                model="full",
+            )
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_w_out_counts_as_diverged(self):
+        # One RK4 step with gamma_s dt = 1e39: the state is its own step
+        # drive, so it keeps the bound, but |S_out|^2 overflows at alpha 1
+        grid = TimeGrid(0.0, 1.0, 2)
+        control = TemporalSignal(grid, np.ones(2))
         scan = scan_alpha(
-            [1.0, 2.0, 400.0],
-            gamma_s=100.0,
-            gamma_c=0.01,
+            [1.0, 1e20, 1e39],
+            gamma_s=1e39,
+            gamma_c=0.0,
             control=control,
             model="full",
         )
-        assert scan.diverged[:2] == (True, True)
-        assert all(math.isnan(w) for w in scan.w_out[:2])
+        assert scan.diverged[0] and math.isnan(scan.w_out[0])
+        assert scan.best_alpha != 1.0
 
     def test_negative_w_out_counts_as_diverged(self, control):
         # at alpha 1e6 the grid no longer resolves exp(f_s eps) and the

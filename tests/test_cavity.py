@@ -1,7 +1,6 @@
 """Dynamical models: benchmark values, agreement, and conservation laws."""
 
 import math
-import re
 
 import numpy as np
 import pytest
@@ -35,100 +34,14 @@ from tmcavity import (
 from tmcavity import cavity
 from tmcavity.cavity import _STEP_BLOCK
 
+from reference_loops import (
+    first_unbounded_sample,
+    named_sample,
+    reference_full,
+    reference_reduced,
+)
+
 BENCH = dict(gamma_s=10.1, gamma_c=0.01, alpha=5.5)
-
-
-def reference_full(params, control, s_in):
-    """The scalar RK4 loop the step-map integrator replaced, kept verbatim.
-
-    Returns the raw S and C arrays, non-finite samples included.
-    """
-    n = control.grid.n_samples
-    dt = control.grid.dt
-    gts = float(params.gamma_tilde_s)
-    gtc = float(params.gamma_tilde_c)
-    r2gs = float(np.sqrt(2.0 * params.gamma_s))
-    ia = 1j * float(params.alpha)
-    om = control.values.tolist()
-    si = s_in.values.tolist()
-
-    s_arr = np.empty(n, dtype=complex)
-    c_arr = np.empty(n, dtype=complex)
-    s = 0j
-    c = 0j
-    s_arr[0] = s
-    c_arr[0] = c
-    h2 = 0.5 * dt
-    h6 = dt / 6.0
-    for k in range(n - 1):
-        o0 = om[k]
-        o1 = om[k + 1]
-        oh = 0.5 * (o0 + o1)
-        f0 = si[k]
-        f1 = si[k + 1]
-        fh = 0.5 * (f0 + f1)
-
-        ds1 = ia * o0.conjugate() * c - gts * s + r2gs * f0
-        dc1 = ia * o0 * s - gtc * c
-        s2 = s + h2 * ds1
-        c2 = c + h2 * dc1
-        ds2 = ia * oh.conjugate() * c2 - gts * s2 + r2gs * fh
-        dc2 = ia * oh * s2 - gtc * c2
-        s3 = s + h2 * ds2
-        c3 = c + h2 * dc2
-        ds3 = ia * oh.conjugate() * c3 - gts * s3 + r2gs * fh
-        dc3 = ia * oh * s3 - gtc * c3
-        s4 = s + dt * ds3
-        c4 = c + dt * dc3
-        ds4 = ia * o1.conjugate() * c4 - gts * s4 + r2gs * f1
-        dc4 = ia * o1 * s4 - gtc * c4
-
-        s = s + h6 * (ds1 + 2.0 * (ds2 + ds3) + ds4)
-        c = c + h6 * (dc1 + 2.0 * (dc2 + dc3) + dc4)
-        s_arr[k + 1] = s
-        c_arr[k + 1] = c
-    return s_arr, c_arr
-
-
-def reference_reduced(params, control, s_in):
-    """The scalar RK4 loop of the reduced model, kept verbatim, plus the
-    algebraic S reconstruction."""
-    n = control.grid.n_samples
-    dt = control.grid.dt
-    gtc = float(params.gamma_tilde_c)
-    fs = float(params.f_s)
-    igs = 1j * float(params.g_s)
-    om = control.values.tolist()
-    si = s_in.values.tolist()
-
-    c_arr = np.empty(n, dtype=complex)
-    c = 0j
-    c_arr[0] = c
-    h2 = 0.5 * dt
-    h6 = dt / 6.0
-    for k in range(n - 1):
-        o0 = om[k]
-        o1 = om[k + 1]
-        oh = 0.5 * (o0 + o1)
-        f0 = si[k]
-        f1 = si[k + 1]
-        fh = 0.5 * (f0 + f1)
-        a0 = -fs * (o0.real * o0.real + o0.imag * o0.imag) - gtc
-        ah = -fs * (oh.real * oh.real + oh.imag * oh.imag) - gtc
-        a1 = -fs * (o1.real * o1.real + o1.imag * o1.imag) - gtc
-
-        dc1 = a0 * c + igs * o0 * f0
-        dc2 = ah * (c + h2 * dc1) + igs * oh * fh
-        dc3 = ah * (c + h2 * dc2) + igs * oh * fh
-        dc4 = a1 * (c + dt * dc3) + igs * o1 * f1
-        c = c + h6 * (dc1 + 2.0 * (dc2 + dc3) + dc4)
-        c_arr[k + 1] = c
-
-    s_arr = (
-        1j * (params.alpha / params.gamma_tilde_s) * np.conj(control.values) * c_arr
-        + np.sqrt(2.0 * params.gamma_s) / params.gamma_tilde_s * s_in.values
-    )
-    return s_arr, c_arr
 
 
 INTEGRATORS = [
@@ -203,6 +116,26 @@ class TestSimulateFull:
 
 
 class TestSimulateReduced:
+    def test_non_finite_step_drives_name_the_first_non_finite_state(self):
+        # f_s = 1e20 / 1e-300 overflows, so the step maps and drives are NaN
+        # wherever the control is on: the empty start must not be the one named
+        grid = TimeGrid(0.0, 10.0, 11)
+        pulse = TemporalSignal(grid, np.exp(-((grid.times - 3.0) ** 2)))
+        par = CavityParams(gamma_s=1e-300, gamma_c=0.0, alpha=1e10)
+        with pytest.raises(InstabilityError, match=r"at sample 1 "):
+            simulate_reduced(par, pulse, pulse)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_signal_amplitude_is_named(self):
+        # One step: C is its own step drive and keeps the bound, but
+        # S = i (alpha / gt_s) conj(Omega) C overflows at alpha 1e50
+        grid = TimeGrid(0.0, 10.0, 2)
+        pulse = TemporalSignal(grid, np.exp(-((grid.times - 3.0) ** 2)))
+        par = CavityParams(gamma_s=1.0, gamma_c=0.0, alpha=1e50)
+        assert first_unbounded_sample(reference_reduced, par, pulse, pulse) is None
+        with pytest.raises(InstabilityError, match=r"S overflows at sample 1 "):
+            simulate_reduced(par, pulse, pulse)
+
     def test_matched_input_reaches_analytic_efficiency(self, control, opt_mode):
         par = CavityParams(gamma_s=10.1, gamma_c=0.0, alpha=5.5)
         traj = simulate_reduced(par, control, opt_mode)
@@ -390,13 +323,6 @@ def drives(draw):
     return control, s_in
 
 
-def _first_bad_sample(*arrays):
-    bad = ~np.isfinite(arrays[0])
-    for arr in arrays[1:]:
-        bad |= ~np.isfinite(arr)
-    return int(np.flatnonzero(bad)[0])
-
-
 class TestStepMapsMatchScalarLoops:
     """The per-step affine maps reproduce the scalar RK4 loops they replaced."""
 
@@ -404,7 +330,14 @@ class TestStepMapsMatchScalarLoops:
     @settings(max_examples=30, deadline=None)
     @given(params=cavity_params, signals=drives())
     def test_amplitudes_match_reference(self, simulate, reference, params, signals):
+        # an expansive draw must fail where the loop outgrows its drive
         control, s_in = signals
+        expected = first_unbounded_sample(reference, params, control, s_in)
+        if expected is not None:
+            with pytest.raises(InstabilityError) as info:
+                simulate(params, control, s_in)
+            assert named_sample(info.value) == expected
+            return
         traj = simulate(params, control, s_in)
         old_s, old_c = reference(params, control, s_in)
         for new, old in ((traj.S.values, old_s), (traj.C.values, old_c)):
@@ -414,8 +347,8 @@ class TestStepMapsMatchScalarLoops:
         grid = TimeGrid(0.0, 10.0, 101)
         control = gaussian_control(3.0, grid)
         stiff = CavityParams(gamma_s=5000.0, gamma_c=0.01, alpha=5.5)
-        expected = _first_bad_sample(*reference_full(stiff, control, control))
-        assert expected == 34
+        expected = first_unbounded_sample(reference_full, stiff, control, control)
+        assert expected == 2
         with pytest.raises(InstabilityError, match=rf"at sample {expected} "):
             simulate_full(stiff, control, control)
 
@@ -424,18 +357,15 @@ class TestStepMapsMatchScalarLoops:
     def test_divergence_is_named_at_the_reference_sample(
         self, simulate, reference, rate
     ):
-        # dt = 0.1 puts either band's decay far outside the stability region.
-        # The scalar loop reports one sample early when an RK4 stage value
-        # overflows before the amplitude it builds; the step maps never form
-        # those stage values, so they name the first non-finite amplitude.
+        # dt = 0.1 puts either band's decay far outside the stability region
         grid = TimeGrid(0.0, 10.0, 101)
         control = gaussian_control(3.0, grid)
         stiff = CavityParams(gamma_s=rate, gamma_c=rate, alpha=5.5)
-        expected = _first_bad_sample(*reference(stiff, control, control))
+        expected = first_unbounded_sample(reference, stiff, control, control)
+        assert expected is not None
         with pytest.raises(InstabilityError) as info:
             simulate(stiff, control, control)
-        named = int(re.search(r"sample (\d+)", str(info.value)).group(1))
-        assert expected <= named <= expected + 1
+        assert named_sample(info.value) == expected
 
 
 scan_lengths = st.sampled_from(
@@ -535,6 +465,18 @@ class TestPhysicsProperties:
         for field in ("S", "C", "S_out", "C_out"):
             combined = a * getattr(t1, field).values + b * getattr(t2, field).values
             assert np.abs(getattr(tm, field).values - combined).max() < 1e-9
+
+    @pytest.mark.parametrize("simulate", [simulate_full, simulate_reduced])
+    def test_linear_down_to_tiny_drives(self, control, opt_mode, simulate):
+        # the step drives' squares (~1e-327) underflow to 0 here, the
+        # states' squares do not: the passivity check must not square
+        par = CavityParams(**BENCH)
+        tiny = TemporalSignal(opt_mode.grid, 1e-161 * opt_mode.values)
+        want = simulate(par, control, opt_mode)
+        got = simulate(par, control, tiny)
+        for field in ("S", "C"):
+            scaled = 1e161 * getattr(got, field).values
+            assert np.abs(scaled - getattr(want, field).values).max() < 1e-12
 
     @settings(max_examples=20, deadline=None)
     @given(

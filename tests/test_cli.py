@@ -203,6 +203,28 @@ class TestCliCommands:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert "raw vector 364" in err and "overflows" in err
 
+    @pytest.mark.filterwarnings("error")
+    def test_expansive_kernel_exits_1_with_one_line(self, tmp_path, capsys):
+        # the reduced RK4 steps are expansive here, so no efficiency the
+        # kernel could report would be physical
+        expansive = (
+            GOOD_CONFIG.replace("n_samples = 10001", "n_samples = 1024")
+            .replace("alpha = 5.5", "alpha = 9.0")
+            .replace("gamma_s = 10.1", "gamma_s = 0.125")
+            .replace("gamma_c = 0.01", "gamma_c = 0.0")
+            .replace(
+                "name = fig2-optimal",
+                "name = green-kernel\ncontrol_center = 3.0\nbasis_size = 8\n"
+                "model = reduced",
+            )
+        )
+        path = write_config(tmp_path, expansive)
+        code = main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith("error:") and "at sample" in err
+
     def test_matched_input_at_large_alpha_has_no_overflow(self, tmp_path, capsys):
         strong = GOOD_CONFIG.replace("alpha = 5.5", "alpha = 80.0")
         path = write_config(tmp_path, strong)

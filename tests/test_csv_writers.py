@@ -5,10 +5,8 @@ import pytest
 
 from tmcavity import (
     CavityTrajectory,
-    ModeFamily,
     TemporalSignal,
     TimeGrid,
-    mode_family_to_csv,
     signal_to_csv,
     trajectory_to_csv,
 )
@@ -73,26 +71,5 @@ def test_trajectory_to_csv_bytes(grid, tmp_path):
                 np.abs(control.values),
             )
         ),
-    )
-    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
-
-
-def test_mode_family_to_csv_bytes(grid, tmp_path):
-    # Unit pulses at distinct samples are orthonormal under the trapezoid
-    # rule; the special values sit in their imaginary parts and around them.
-    n = grid.n_samples
-    count = min(n, 3)
-    modes = []
-    for k in range(count):
-        vals = np.full(n, complex(-0.0, 5e-324))
-        vals[k] = 1.0 / np.sqrt(grid.dt if 0 < k < n - 1 else 0.5 * grid.dt)
-        modes.append(TemporalSignal(grid, vals))
-    family = ModeFamily(grid, np.array([m.values for m in modes]))
-    mode_family_to_csv(family, tmp_path / "new.csv")
-    header = ["t"] + [f"mode{k}_{part}" for k in range(count) for part in ("re", "im")]
-    reference_csv(
-        tmp_path / "ref.csv",
-        header,
-        ([t, *complex_parts(vals)] for t, *vals in zip(grid.times, *(m.values for m in family))),
     )
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()

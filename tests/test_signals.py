@@ -14,7 +14,6 @@ from tmcavity import (
     hermite_gaussian,
     inner_product,
     normalize,
-    signal_from_csv,
     signal_to_csv,
 )
 
@@ -203,18 +202,12 @@ class TestCsvRoundTrip:
         sig = rand_signal(grid, rng)
         path = tmp_path / "sig.csv"
         signal_to_csv(sig, path)
-        back = signal_from_csv(path)
-        assert back.grid == sig.grid
-        assert np.array_equal(back.values, sig.values)
+        back = np.loadtxt(path, delimiter=",", skiprows=1)
+        assert np.array_equal(back[:, 0], grid.times)
+        assert np.array_equal(back[:, 1] + 1j * back[:, 2], sig.values)
 
     def test_header_schema(self, tmp_path):
         grid = TimeGrid(0.0, 1.0, 11)
         path = tmp_path / "sig.csv"
         signal_to_csv(TemporalSignal(grid, np.ones(11)), path)
         assert path.read_text().splitlines()[0] == "t,re,im"
-
-    def test_missing_header_is_rejected(self, tmp_path):
-        path = tmp_path / "raw.csv"
-        path.write_text("0.0,1.0,0.0\n1.0,1.0,0.0\n")
-        with pytest.raises(ValueError, match="header"):
-            signal_from_csv(path)
