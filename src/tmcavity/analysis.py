@@ -17,9 +17,10 @@ from typing import Sequence
 import numpy as np
 
 from .cavity import (
+    MODELS,
     CavityParams,
     CavityTrajectory,
-    _converted_amplitudes,
+    _integrate,
     analytic_conversion,
     simulate_full,
     simulate_reduced,
@@ -33,8 +34,6 @@ SPEED_OF_LIGHT = 299792458.0  # m/s
 # A trajectory's W_out is considered settled when the last tenth of the
 # window adds less than this fraction of the total.
 PLATEAU_TAIL_FRACTION = 1e-3
-
-MODELS = ("full", "reduced", "analytic")
 
 
 @dataclass(frozen=True)
@@ -130,8 +129,8 @@ def green_kernel(
     if len(basis) < 2:
         raise ValueError("basis must contain at least 2 modes")
     grid = require_same_grid(control, basis)
-    matrix = np.zeros((grid.n_samples + 1, len(basis)), complex, order="F")
-    _converted_amplitudes(params, control, basis.values, model, matrix[1:])
+    matrix = np.empty((grid.n_samples + 1, len(basis)), complex, order="F")
+    matrix[1:] = _integrate(params, model, control, basis.values)[-1].T
     matrix[0] = matrix[-1]
     matrix[1:] *= 0.0 if model == "analytic" else math.sqrt(2.0 * params.gamma_c)
     matrix[1:] *= np.sqrt(quadrature_weights(grid))[:, None]

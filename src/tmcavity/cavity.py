@@ -25,9 +25,9 @@ the slow gt_c decay as well gives the closed form
 
     C(t) = i g_s exp(-f_s eps(t)) * Integral_0^t exp(f_s eps) Omega S_in dt'
 
-where eps(t) is the accumulated control pulse area Integral |Omega|^2; it
-is evaluated with shifted exponents and cannot overflow. All three levels
-are implemented here, and the closed form is the integrators' test reference.
+where eps(t) is the accumulated control pulse area Integral |Omega|^2. All
+three levels are stepped as affine maps and solved by one scan, and the
+closed form is the integrators' test reference.
 """
 
 from __future__ import annotations
@@ -113,8 +113,16 @@ class CavityTrajectory:
 
 
 def _assemble_trajectory(params, grid, s_arr, c_arr, s_in, control):
-    s_out = -s_in.values + np.sqrt(2.0 * params.gamma_s) * s_arr
-    c_out = np.sqrt(2.0 * params.gamma_c) * c_arr
+    # C keeps the passivity bound, but a huge rate can overflow a field
+    # scaled from it: reduced S = (alpha / gt_s) C, C_out = sqrt(2 gamma_c) C
+    with np.errstate(over="ignore", invalid="ignore"):
+        s_out = -s_in.values + np.sqrt(2.0 * params.gamma_s) * s_arr
+        c_out = np.sqrt(2.0 * params.gamma_c) * c_arr
+    finite = np.isfinite((s_arr, s_out, c_out))
+    k = int(np.argmin(finite.all(axis=0)))
+    if not finite[:, k].all():
+        name = ("S", "S_out", "C_out")[np.argmin(finite[:, k])]
+        raise _unstable(grid, k, f"{name} overflows")
     return CavityTrajectory(
         grid=grid,
         S=TemporalSignal(grid, s_arr),
@@ -173,6 +181,17 @@ def _step_maps(rhs, dim, dt, control, drives):
     return maps
 
 
+def _closed_form_maps(params, control, drives):
+    """The closed form's trapezoid rule as steps C -> M C + V, laid out as
+    :func:`_step_maps` with dim 1. With a = f_s eps, M_k = exp(a_k - a_{k+1})
+    and V_k = (i g_s dt / 2)(M_k Omega_k s_k + Omega_{k+1} s_{k+1}); a never
+    decreases, so no factor exceeds 1 or can overflow, whatever f_s."""
+    a = params.f_s * cumulative_integral(control).values.real
+    m = np.exp(a[:-1] - a[1:])
+    drive = 0.5j * params.g_s * control.grid.dt * control.values * drives
+    return np.concatenate((m[None], m * drive[:, :-1] + drive[:, 1:]))[None]
+
+
 def _apply(m, x):
     """Per-step products M_k X_k of ``(dim, dim, n)`` maps and ``(dim, c, n)`` states."""
     out = m[:, :1] * x[:1]
@@ -210,20 +229,30 @@ def _norms(a):
     return out
 
 
-def _integrate(rhs, dim, control, drives):
+MODELS = ("full", "reduced", "analytic")
+
+
+def _integrate(params, model, control, drives):
     """Amplitudes of an empty cavity under every drive row, ``(dim, m, n_samples)``.
 
-    Solves X_{k+1} = M_k X_k + V_k over the window's step maps with
-    :func:`_affine_scan`, on all drive rows at once. The cavity is passive,
-    so no state of a row can exceed the drive fed in so far, Sum_{j<k} |V_j|;
-    :class:`InstabilityError` names the first sample that does, by more
-    than 1e-9 of the row's whole-run sum (a non-finite state always does).
+    ``model`` picks the steps: RK4 of the full (S, C) or reduced (C) model,
+    or the closed form's trapezoid (C). Each solves X_{k+1} = M_k X_k + V_k
+    with :func:`_affine_scan`, on all drive rows at once. The cavity is
+    passive, so no state of a row can exceed the drive fed in so far,
+    Sum_{j<k} |V_j|; :class:`InstabilityError` names the first sample that
+    does, by more than 1e-9 of the row's whole-run sum (a non-finite state
+    always does).
     """
     grid = control.grid
+    dim = 2 if model == "full" else 1
     x = np.zeros((dim, len(drives), grid.n_samples), dtype=complex)
     bound = np.zeros((len(drives), grid.n_samples))
     with np.errstate(all="ignore"):
-        maps = _step_maps(rhs, dim, grid.dt, control, drives)
+        if model == "analytic":
+            maps = _closed_form_maps(params, control, drives)
+        else:
+            rhs = _full_rhs if model == "full" else _reduced_rhs
+            maps = _step_maps(rhs(params), dim, grid.dt, control, drives)
         m, v = maps[:, :dim], maps[:, dim:]
         driven = np.flatnonzero(v.any(axis=(0, 1)))
         if driven.size:
@@ -249,44 +278,6 @@ def _unstable(grid, k, what):
     )
 
 
-_EXP_SPAN = 600.0  # closed-form exponent block; exp(600) is 1e47 below overflow
-
-
-def _closed_form(params, control, drives, out):
-    """Write the closed-form C(t) of every drive row into the columns of ``out``.
-
-    A block's exponents are shifted by f_s eps at the sample before it (or
-    at its first sample, after a jump of _EXP_SPAN), so none exceeds
-    _EXP_SPAN; the running integral enters the next block scaled by
-    exp(old - new shift) <= 1. Below f_s eps = _EXP_SPAN: the plain formula.
-    """
-    a = params.f_s * cumulative_integral(control).values.real
-    out[0], k1, shift = 0.0, 1, 0.0
-    while k1 < len(a):
-        k0, prev = k1, shift
-        shift = a[k0 - 1] if a[k0] - a[k0 - 1] < _EXP_SPAN else a[k0]
-        k1 = max(np.searchsorted(a, shift + _EXP_SPAN), k0 + 1)
-        at = slice(k0 - 1, k1)
-        kernel = np.exp(a[at] - shift) * control.values[at] * drives[:, at]
-        steps = 0.5 * control.grid.dt * (kernel[:, 1:] + kernel[:, :-1])
-        if k0 > 1:
-            steps[:, 0] += integ[:, -1] * math.exp(prev - shift)
-        integ = np.cumsum(steps, axis=1, out=steps)
-        np.multiply(1j * params.g_s * np.exp(shift - a[k0:k1]), integ, out=out[k0:k1].T)
-
-
-def _converted_amplitudes(params, control, drives, model, out):
-    """Write C(t) of every drive row into the columns of ``out`` in one pass.
-
-    The integrators run all rows through one :func:`_integrate` over the
-    shared step maps, so the maps are built once whatever m is.
-    """
-    if model == "analytic":
-        return _closed_form(params, control, drives, out)
-    rhs, dim = (_full_rhs, 2) if model == "full" else (_reduced_rhs, 1)
-    out[:] = _integrate(rhs(params), dim, control, drives)[-1].T
-
-
 def simulate_full(
     params: CavityParams,
     control: TemporalSignal,
@@ -308,7 +299,7 @@ def simulate_full(
     they do, as expansive (unstable) RK4 steps make them.
     """
     g = require_same_grid(control, s_in)
-    s_arr, c_arr = _integrate(_full_rhs(params), 2, control, s_in.values[None])[:, 0]
+    s_arr, c_arr = _integrate(params, "full", control, s_in.values[None])[:, 0]
     return _assemble_trajectory(params, g, s_arr, c_arr, s_in, control)
 
 
@@ -324,22 +315,16 @@ def simulate_reduced(
     and the outputs follow from the same input-output relations as the full
     model. The grid is the drives' common grid; drives on different grids
     raise :class:`GridMismatchError`. C(t) is checked against the drive fed
-    in, and :class:`InstabilityError` raised, as in :func:`simulate_full`;
-    it is also raised where the reconstructed S(t) overflows.
+    in, and :class:`InstabilityError` raised, as in :func:`simulate_full`.
     """
     g = require_same_grid(control, s_in)
-    c_arr = _integrate(_reduced_rhs(params), 1, control, s_in.values[None])[0, 0]
+    c_arr = _integrate(params, "reduced", control, s_in.values[None])[0, 0]
     with np.errstate(over="ignore", invalid="ignore"):
         s_arr = (
             1j * (params.alpha / params.gamma_tilde_s)
             * np.conj(control.values) * c_arr
             + np.sqrt(2.0 * params.gamma_s) / params.gamma_tilde_s * s_in.values
         )
-    # S is alpha / gt_s times C: a huge alpha can overflow it while C keeps
-    # its bound, as on a one-step grid, where C is its own step drive
-    bad = np.flatnonzero(~np.isfinite(s_arr))
-    if bad.size:
-        raise _unstable(g, int(bad[0]), "the signal amplitude S overflows")
     return _assemble_trajectory(params, g, s_arr, c_arr, s_in, control)
 
 
@@ -350,18 +335,18 @@ def analytic_conversion(
 ) -> tuple[TemporalSignal, complex]:
     """Closed-form converted amplitude of the reduced model without slow decay.
 
-    Returns the full C(t) history and its final value, finite for any f_s
-    (see :func:`_closed_form`). Intended for the regime where the converted
-    band barely leaks during the process (gamma_c + kappa_c ~ 0); the
-    slow-decay term is dropped exactly as in the derivation. The running
-    integrals share the trapezoid rule with the rest of the package, so
-    orthogonality statements checked with
-    :func:`tmcavity.signals.inner_product` carry over at machine precision.
+    Returns the full C(t) history and its final value, stepped on the
+    integrators' scan (see :func:`_closed_form_maps`), finite for any finite
+    f_s. Intended for the regime where the converted band barely leaks
+    during the process (gamma_c + kappa_c ~ 0); the slow-decay term is
+    dropped exactly as in the derivation. The running integrals share the
+    trapezoid rule with the rest of the package, so orthogonality
+    statements checked with :func:`tmcavity.signals.inner_product` carry
+    over at machine precision.
     """
     grid = require_same_grid(control, s_in)
-    c_vals = np.empty((grid.n_samples, 1), dtype=complex)
-    _closed_form(params, control, s_in.values[None], c_vals)
-    return TemporalSignal(grid, c_vals[:, 0]), complex(c_vals[-1, 0])
+    c_arr = _integrate(params, "analytic", control, s_in.values[None])[0, 0]
+    return TemporalSignal(grid, c_arr), complex(c_arr[-1])
 
 
 def trajectory_to_csv(traj: CavityTrajectory, path) -> None:

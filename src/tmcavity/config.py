@@ -13,8 +13,7 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
-from .analysis import MODELS
-from .cavity import CavityParams
+from .cavity import MODELS, CavityParams
 from .errors import ConfigError, WindowClippingError
 from .modes import CONTROL_MARGIN, MAX_HERMITE_ORDER, _require_margin, hermite_margin
 from .signals import TimeGrid
@@ -73,6 +72,12 @@ class ExperimentConfig:
             raise ConfigError("unit_time_s, lambda_s_m and lambda_c_m must be > 0")
         if self.scenario == "units" and self.cavity.gamma_c <= 0:
             raise ConfigError("units needs gamma_c > 0 to report converted-band rates")
+        try:
+            rates = (self.cavity.f_s, self.cavity.g_s)
+        except OverflowError:  # alpha**2 past the float range
+            rates = (math.inf,)
+        if not all(map(math.isfinite, rates)):
+            raise ConfigError(f"f_s or g_s overflows at alpha = {self.cavity.alpha}")
         if self.scenario == "fig4-design" and self.cavity.f_s <= 0:
             raise ConfigError("fig4-design needs a nonzero alpha (f_s > 0)")
         if self.model not in MODELS:

@@ -1,9 +1,22 @@
 """Scalar RK4 loops of both models: the oracle the vectorized integrators are
-tested against, and the source of the samples their passivity check names."""
+tested against, and the source of the samples their passivity check names.
+Also the closed form as written, the oracle of its stepped evaluation."""
 
 import re
 
 import numpy as np
+
+from tmcavity import cumulative_integral
+
+
+def reference_closed_form(params, control, s_in):
+    """C(t) = i g_s exp(-f_s eps) * trapezoid integral of exp(f_s eps) Omega S_in,
+    term for term as written: exp(f_s eps) overflows once f_s eps passes 709."""
+    eps = cumulative_integral(control).values.real
+    kernel = np.exp(params.f_s * eps) * control.values * s_in.values
+    integ = np.zeros_like(kernel)
+    integ[1:] = np.cumsum(0.5 * control.grid.dt * (kernel[1:] + kernel[:-1]))
+    return 1j * params.g_s * np.exp(-params.f_s * eps) * integ
 
 
 def reference_full(params, control, s_in, from_rest=False):

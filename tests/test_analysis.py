@@ -15,6 +15,7 @@ from tmcavity import (
     TemporalSignal,
     TimeGrid,
     UndefinedResidualError,
+    analytic_conversion,
     conservation_residual,
     gaussian_control,
     gram_schmidt_family,
@@ -97,6 +98,19 @@ class TestGreenKernel:
         sv = kernel_report_analytic.singular_values
         assert sv[1] / sv[0] < 1e-6
         assert kernel_report_analytic.schmidt_number < 1.0 + 1e-6
+
+    @pytest.mark.parametrize("alpha", [1e4, 1e100])
+    def test_closed_form_kernel_is_rank_one_at_any_coupling(
+        self, control, family8, alpha
+    ):
+        # exp(f_s eps) would overflow here; the stepped closed form does not,
+        # and nothing leaks, so only the C(end) row is nonzero
+        par = CavityParams(gamma_s=10.1, gamma_c=0.0, alpha=alpha)
+        report = green_kernel(par, control, family8, model="analytic")
+        assert np.isfinite(report.response_matrix).all()
+        assert not report.response_matrix[1:].any()
+        assert report.response_matrix[0].any()
+        assert report.schmidt_number == 1.0
 
     def test_closed_form_rank_one_on_plain_hg_basis(self):
         # wide window so a pure Hermite-Gauss basis is orthonormal on-grid
@@ -252,18 +266,22 @@ def kernel_inputs(draw):
 class TestBatchedKernelMatchesSingleRuns:
     """The kernel's one batched pass reproduces one single run per mode."""
 
-    @pytest.mark.parametrize("model", ["full", "reduced"])
+    @pytest.mark.parametrize("model", ["full", "reduced", "analytic"])
     @settings(max_examples=30, deadline=None)
     @given(inputs=kernel_inputs())
     def test_columns_match_per_mode_runs(self, model, inputs):
         # An expansive draw fails the kernel with the error of its single run
         # that fails earliest, at the sample where the loop outgrows its drive.
+        # The closed form leaks nothing: its column is C(end) over zeros.
         params, control, basis = inputs
         sqw = np.sqrt(quadrature_weights(basis.grid))
-        expected = np.empty((basis.grid.n_samples + 1, len(basis)), complex)
+        expected = np.zeros((basis.grid.n_samples + 1, len(basis)), complex)
         failures = []
         for j, mode in enumerate(basis):
             try:
+                if model == "analytic":
+                    expected[0, j] = analytic_conversion(params, control, mode)[1]
+                    continue
                 traj = SIMULATORS[model](params, control, mode)
             except InstabilityError as exc:
                 failures.append((named_sample(exc), str(exc), mode))
@@ -279,6 +297,10 @@ class TestBatchedKernelMatchesSingleRuns:
             assert str(info.value) == message
             return
         matrix = green_kernel(params, control, basis, model=model).response_matrix
+        if model == "analytic":
+            # one scan over the same maps, row by row or batched
+            assert np.array_equal(matrix, expected)
+            return
         assert np.abs(matrix - expected).max() <= 1e-12 * np.abs(expected).max()
 
     @pytest.mark.filterwarnings("error")

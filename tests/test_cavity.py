@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tmcavity import (
@@ -37,6 +37,7 @@ from tmcavity.cavity import _STEP_BLOCK
 from reference_loops import (
     first_unbounded_sample,
     named_sample,
+    reference_closed_form,
     reference_full,
     reference_reduced,
 )
@@ -48,6 +49,46 @@ INTEGRATORS = [
     pytest.param(simulate_full, reference_full, id="full"),
     pytest.param(simulate_reduced, reference_reduced, id="reduced"),
 ]
+
+
+def _chirped_pulse(grid, center, width, chirp, amplitude):
+    u = grid.times - center
+    return TemporalSignal(
+        grid, amplitude * np.exp(-((u / width) ** 2) + 1j * chirp * u**2)
+    )
+
+
+cavity_params = st.builds(
+    CavityParams,
+    gamma_s=st.floats(0.1, 20.0),
+    gamma_c=st.floats(0.0, 5.0),
+    alpha=st.just(0.0) | st.floats(0.01, 10.0) | st.floats(-10.0, -0.01),
+    kappa_s=st.floats(0.0, 5.0),
+    kappa_c=st.floats(0.0, 5.0),
+)
+n_samples = st.sampled_from(
+    [2, _STEP_BLOCK, _STEP_BLOCK + 1, _STEP_BLOCK + 2, 2 * _STEP_BLOCK + 1]
+) | st.integers(2, 3000)
+
+
+@st.composite
+def drives(draw):
+    grid = TimeGrid(0.0, 10.0, draw(n_samples, label="n_samples"))
+    control = _chirped_pulse(
+        grid,
+        center=draw(st.floats(2.0, 8.0)),
+        width=draw(st.floats(0.5, 2.0)),
+        chirp=draw(st.floats(-2.0, 2.0)),
+        amplitude=draw(st.floats(0.1, 2.0)),
+    )
+    s_in = _chirped_pulse(
+        grid,
+        center=draw(st.floats(2.0, 8.0)),
+        width=draw(st.floats(0.5, 2.0)),
+        chirp=draw(st.floats(-2.0, 2.0)),
+        amplitude=draw(st.complex_numbers(min_magnitude=0.1, max_magnitude=2.0)),
+    )
+    return control, s_in
 
 
 class TestDerivedRates:
@@ -136,6 +177,18 @@ class TestSimulateReduced:
         with pytest.raises(InstabilityError, match=r"S overflows at sample 1 "):
             simulate_reduced(par, pulse, pulse)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "simulate, gamma_c", [(simulate_reduced, 1e100), (simulate_full, 1e123)]
+    )
+    def test_overflowing_output_field_is_named(self, simulate, gamma_c):
+        # One stiff step: C keeps its bound, C_out = sqrt(2 gamma_c) C does not
+        grid = TimeGrid(0.0, 10.0, 2)
+        ones = TemporalSignal(grid, np.ones(2))
+        par = CavityParams(gamma_s=1.0, gamma_c=gamma_c, alpha=1.0)
+        with pytest.raises(InstabilityError, match=r"C_out overflows at sample 1 "):
+            simulate(par, ones, ones)
+
     def test_matched_input_reaches_analytic_efficiency(self, control, opt_mode):
         par = CavityParams(gamma_s=10.1, gamma_c=0.0, alpha=5.5)
         traj = simulate_reduced(par, control, opt_mode)
@@ -186,26 +239,30 @@ class TestAnalyticConversion:
         c_sig, c_end = analytic_conversion(par, control, control)
         assert np.all(c_sig.values == 0.0) and c_end == 0.0
 
-    @pytest.mark.parametrize("span", [1e-3, 0.5, 7.0, 600.0])
-    @pytest.mark.parametrize("alpha", [5.5, 80.0])
-    def test_blocks_match_the_formula_as_written(
-        self, monkeypatch, control, family8, span, alpha
-    ):
-        # below exp(709) the unshifted formula is exact enough to compare;
-        # small spans cut the window into many blocks, some after a step in
-        # which f_s eps jumps by more than a span
-        par = CavityParams(gamma_s=10.1, gamma_c=0.0, alpha=alpha)
+    @settings(max_examples=30, deadline=None)
+    @given(params=cavity_params, signals=drives())
+    def test_steps_match_the_formula_as_written(self, params, signals):
+        # below exp(709) the unstepped formula is exact enough to compare
+        control, s_in = signals
         eps = cumulative_integral(control).values.real
-        kernel = np.exp(par.f_s * eps) * control.values * family8.values
-        integ = np.zeros_like(kernel)
-        integ[:, 1:] = np.cumsum(
-            0.5 * control.grid.dt * (kernel[:, 1:] + kernel[:, :-1]), axis=1
-        )
-        expected = 1j * par.g_s * np.exp(-par.f_s * eps) * integ
-        monkeypatch.setattr(cavity, "_EXP_SPAN", span)
-        for mode, want in zip(family8, expected):
-            got = analytic_conversion(par, control, mode)[0].values
-            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        assume(params.f_s * eps.max() < 700.0)
+        want = reference_closed_form(params, control, s_in)
+        got = analytic_conversion(params, control, s_in)[0].values
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        signals=drives(),
+        gamma_s=st.floats(0.1, 20.0),
+        alpha=st.floats(-1e150, 1e150),
+    )
+    def test_steps_never_expand(self, signals, gamma_s, alpha):
+        # f_s eps never decreases, so every step factor lies in [0, 1]
+        control, s_in = signals
+        par = CavityParams(gamma_s=gamma_s, gamma_c=0.0, alpha=alpha)
+        maps = cavity._closed_form_maps(par, control, s_in.values[None])
+        assert np.isfinite(maps).all()
+        assert (np.abs(maps[0, 0]) <= 1.0).all()
 
     @pytest.mark.parametrize("alpha", [1e4, 1e8, 1e20, 1e100])
     def test_history_is_finite_for_any_coupling(self, alpha):
@@ -281,46 +338,6 @@ class TestTrajectoryCsv:
             "t,S_re,S_im,C_re,C_im,Sout_re,Sout_im,Cout_re,Cout_im,control_abs"
         )
         assert len(lines) == 1 + traj_gaussian_input.grid.n_samples
-
-
-def _chirped_pulse(grid, center, width, chirp, amplitude):
-    u = grid.times - center
-    return TemporalSignal(
-        grid, amplitude * np.exp(-((u / width) ** 2) + 1j * chirp * u**2)
-    )
-
-
-cavity_params = st.builds(
-    CavityParams,
-    gamma_s=st.floats(0.1, 20.0),
-    gamma_c=st.floats(0.0, 5.0),
-    alpha=st.just(0.0) | st.floats(0.01, 10.0) | st.floats(-10.0, -0.01),
-    kappa_s=st.floats(0.0, 5.0),
-    kappa_c=st.floats(0.0, 5.0),
-)
-n_samples = st.sampled_from(
-    [2, _STEP_BLOCK, _STEP_BLOCK + 1, _STEP_BLOCK + 2, 2 * _STEP_BLOCK + 1]
-) | st.integers(2, 3000)
-
-
-@st.composite
-def drives(draw):
-    grid = TimeGrid(0.0, 10.0, draw(n_samples, label="n_samples"))
-    control = _chirped_pulse(
-        grid,
-        center=draw(st.floats(2.0, 8.0)),
-        width=draw(st.floats(0.5, 2.0)),
-        chirp=draw(st.floats(-2.0, 2.0)),
-        amplitude=draw(st.floats(0.1, 2.0)),
-    )
-    s_in = _chirped_pulse(
-        grid,
-        center=draw(st.floats(2.0, 8.0)),
-        width=draw(st.floats(0.5, 2.0)),
-        chirp=draw(st.floats(-2.0, 2.0)),
-        amplitude=draw(st.complex_numbers(min_magnitude=0.1, max_magnitude=2.0)),
-    )
-    return control, s_in
 
 
 class TestStepMapsMatchScalarLoops:

@@ -145,6 +145,8 @@ class TestCliCommands:
             ({"fig2-optimal": "alpha-scan\ncontrol_center = 1.0"}, []),
             ({"fig2-optimal": "green-kernel\ncontrol_center = 1.0"}, []),
             ({"fig2-optimal": "fig3-orthogonal\ncontrol_center = 9.0"}, []),
+            ({"alpha = 5.5": "alpha = 1e160"}, ["--grid-samples", "101"]),
+            ({"fig2-optimal": "fig4-design", "alpha = 5.5": "alpha = 1e160"}, []),
         ],
         ids=["n-samples-not-int", "grid-samples-1", "alpha-step-0",
              "alpha-step-negative", "alpha-grid-2-points", "alpha-max-inf",
@@ -152,7 +154,8 @@ class TestCliCommands:
              "lambda-s-negative", "units-gamma-c-0", "fig4-alpha-0",
              "fig4-q-negative", "fig4-order-25", "fig4-target-clipped",
              "fig2-control-clipped", "alpha-scan-control-clipped",
-             "green-kernel-control-clipped", "fig3-control-clipped"],
+             "green-kernel-control-clipped", "fig3-control-clipped",
+             "alpha-1e160", "fig4-alpha-1e160"],
     )
     def test_bad_config_exits_2(self, tmp_path, capsys, replacements, extra_args):
         text = GOOD_CONFIG
