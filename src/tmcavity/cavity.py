@@ -186,7 +186,7 @@ def _closed_form_maps(params, control, drives):
     :func:`_step_maps` with dim 1. With a = f_s eps, M_k = exp(a_k - a_{k+1})
     and V_k = (i g_s dt / 2)(M_k Omega_k s_k + Omega_{k+1} s_{k+1}); a never
     decreases, so no factor exceeds 1 or can overflow, whatever f_s."""
-    a = params.f_s * cumulative_integral(control).values.real
+    a = params.f_s * cumulative_integral(control)
     m = np.exp(a[:-1] - a[1:])
     drive = 0.5j * params.g_s * control.grid.dt * control.values * drives
     return np.concatenate((m[None], m * drive[:, :-1] + drive[:, 1:]))[None]

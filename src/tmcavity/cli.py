@@ -1,10 +1,12 @@
-"""Config-driven experiment runner.
+"""Command-line front end: ``tmcavity run``, ``list`` and ``seed-figures``.
 
-Each scenario rebuilds its pulses from the validated config, runs the
-requested model, and writes plain CSV time series next to a ``summary.json``
-holding the scalar results. Outputs are deterministic: two runs of the same
-config produce byte-identical files except for the timestamp, which is
-confined to the summary's ``metadata`` block.
+``run`` loads and validates one config, runs its scenario from
+:data:`config.SCENARIOS`, and writes a ``summary.json`` holding the config
+echo and the scalar results next to the scenario's CSVs. Outputs are
+deterministic: two runs of the same config produce byte-identical files
+except for the timestamp, which is confined to the summary's ``metadata``
+block. Bad input exits 2 and a numerical failure exits 1, each with one
+``error:`` line.
 """
 
 from __future__ import annotations
@@ -16,203 +18,15 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
-from .analysis import (
-    conservation_residual,
-    green_kernel,
-    physical_units,
-    scan_alpha,
-    unconverted_energy,
-)
-from .cavity import simulate_full, trajectory_to_csv
-from .config import SCENARIO_KEYS, ExperimentConfig, dump_config, load_config
-from .design import DesignInputs, design_control, impedance_residual
+from .config import SCENARIOS, ExperimentConfig, dump_config, load_config
 from .errors import ConfigError, TmCavityError
-from .modes import (
-    gaussian_control,
-    gram_schmidt_family,
-    hermite_gaussian,
-    optimal_input_mode,
-    polynomial_raw_basis,
-)
-from .signals import _write_csv, inner_product, normalize, signal_to_csv
-
-
-def _trajectory_results(traj, params) -> dict:
-    wout = unconverted_energy(traj)
-    abs_c = np.abs(traj.C.values)
-    k_peak = int(abs_c.argmax())
-    minus_ic = -1j * traj.C.values[k_peak]
-    return {
-        "w_out": float(wout.value),
-        "w_out_plateaued": bool(wout.plateaued),
-        "w_out_tail_fraction": float(wout.tail_fraction),
-        "max_abs_S": float(np.abs(traj.S.values).max()),
-        "max_abs_C": float(abs_c.max()),
-        "peak_minus_ic_re": float(minus_ic.real),
-        "peak_minus_ic_im": float(minus_ic.imag),
-        "final_abs_C_sq": float(abs(traj.C.values[-1]) ** 2),
-        "conservation_residual": float(conservation_residual(traj, params)),
-    }
-
-
-def _orthogonal_family(config: ExperimentConfig, size: int):
-    control = gaussian_control(config.control_center, config.grid)
-    seed = normalize(optimal_input_mode(config.cavity, control))
-    raw = polynomial_raw_basis(seed, size, config.control_center)
-    return control, gram_schmidt_family(seed, raw)
-
-
-def _run_fig2_gaussian(config, out):
-    """Gaussian control driving an input of the same Gaussian shape (mode-mismatched storage benchmark)."""
-    control = gaussian_control(config.control_center, config.grid)
-    traj = simulate_full(config.cavity, control, control)
-    trajectory_to_csv(traj, out / "trajectory.csv")
-    return _trajectory_results(traj, config.cavity)
-
-
-def _run_fig2_optimal(config, out):
-    """Gaussian control driving its matched optimal input mode (near-complete storage)."""
-    control = gaussian_control(config.control_center, config.grid)
-    mode = optimal_input_mode(config.cavity, control)
-    traj = simulate_full(config.cavity, control, mode)
-    trajectory_to_csv(traj, out / "trajectory.csv")
-    signal_to_csv(mode, out / "input_mode.csv")
-    return _trajectory_results(traj, config.cavity)
-
-
-def _run_fig3(config, out):
-    """Input mode orthogonal to the optimal one; mode_index picks the family member."""
-    control, family = _orthogonal_family(config, config.mode_index)
-    mode = family[config.mode_index]
-    traj = simulate_full(config.cavity, control, mode)
-    trajectory_to_csv(traj, out / "trajectory.csv")
-    signal_to_csv(mode, out / "input_mode.csv")
-    results = _trajectory_results(traj, config.cavity)
-    results["mode_index"] = config.mode_index
-    results["minus_ic_min_re"] = float((-1j * traj.C.values).real.min())
-    return results
-
-
-def _run_fig4(config, out):
-    """Control pulse designed to store a chosen Hermite-Gauss target (target_order, q, theta)."""
-    target = hermite_gaussian(config.target_order, config.control_center, config.grid)
-    inputs = DesignInputs(
-        s_in=target, f_s=config.cavity.f_s, q=config.q, theta=config.theta
-    )
-    control = design_control(inputs)
-    traj = simulate_full(config.cavity, control, target)
-    trajectory_to_csv(traj, out / "trajectory.csv")
-    signal_to_csv(control, out / "designed_control.csv")
-    signal_to_csv(target, out / "target_mode.csv")
-    results = _trajectory_results(traj, config.cavity)
-    results.update(
-        {
-            "target_order": config.target_order,
-            "q": float(config.q),
-            "theta": float(config.theta),
-            "f_s": float(config.cavity.f_s),
-            "impedance_residual": float(
-                impedance_residual(control, target, config.cavity)
-            ),
-            "control_norm": float(
-                np.sqrt(inner_product(control, control).real)
-            ),
-        }
-    )
-    return results
-
-
-def _run_alpha_scan(config, out):
-    """Sweep of the coupling strength with per-point matched inputs; reports the best value."""
-    control = gaussian_control(config.control_center, config.grid)
-    result = scan_alpha(
-        config.alpha_grid,
-        gamma_s=config.cavity.gamma_s,
-        gamma_c=config.cavity.gamma_c,
-        kappa_s=config.cavity.kappa_s,
-        kappa_c=config.cavity.kappa_c,
-        control=control,
-        model=config.model,
-    )
-    _write_csv(
-        out / "wout_vs_alpha.csv",
-        ("alpha", "w_out", "diverged"),
-        (
-            np.array(result.alphas),
-            np.array(result.w_out),
-            np.array(result.diverged, dtype=int),
-        ),
-    )
-    return {
-        "model": config.model,
-        "best_alpha": float(result.best_alpha),
-        "best_w_out": float(result.best_w_out),
-        "n_points": len(result.alphas),
-        "n_diverged": int(sum(result.diverged)),
-    }
-
-
-def _run_green_kernel(config, out):
-    """Conversion-kernel assembly over an orthonormal basis with singular-value analysis."""
-    control, family = _orthogonal_family(config, config.basis_size - 1)
-    report = green_kernel(config.cavity, control, family, model=config.model)
-    sv = report.singular_values
-    _write_csv(
-        out / "singular_values.csv",
-        ("index", "sigma", "efficiency"),
-        (np.arange(len(sv)), sv, report.conversion_efficiencies),
-    )
-    signal_to_csv(report.input_modes[0], out / "dominant_mode.csv")
-    eff = report.conversion_efficiencies
-    contrast = float(eff[0] / eff[1]) if eff[1] > 0 else float("inf")
-    return {
-        "model": config.model,
-        "basis_size": config.basis_size,
-        "singular_values": [float(v) for v in sv],
-        "conversion_efficiencies": [float(v) for v in eff],
-        "dominant_efficiency": float(eff[0]),
-        "contrast": contrast,
-        "schmidt_number": float(report.schmidt_number),
-        "sigma2_over_sigma1": float(sv[1] / sv[0]) if sv[0] > 0 else 0.0,
-    }
-
-
-def _run_units(config, out):
-    """Dimensionless rates translated to SI rates, lifetimes, and quality factors."""
-    report = physical_units(
-        config.unit_time_s, config.lambda_s_m, config.lambda_c_m, config.cavity
-    )
-    return {
-        "unit_time_s": float(report.unit_time),
-        "omega_s": float(report.omega_s),
-        "omega_c": float(report.omega_c),
-        "rate_s": float(report.rate_s),
-        "rate_c": float(report.rate_c),
-        "lifetime_s": float(report.lifetime_s),
-        "lifetime_c": float(report.lifetime_c),
-        "q_factor_s": float(report.Q_s),
-        "q_factor_c": float(report.Q_c),
-    }
-
-
-_RUNNERS = {
-    "fig2-gaussian": _run_fig2_gaussian,
-    "fig2-optimal": _run_fig2_optimal,
-    "fig3-orthogonal": _run_fig3,
-    "fig4-design": _run_fig4,
-    "alpha-scan": _run_alpha_scan,
-    "green-kernel": _run_green_kernel,
-    "units": _run_units,
-}
 
 
 def run(config: ExperimentConfig, out_dir) -> dict:
     """Execute one scenario, write its artifacts, and return the summary."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    results = _RUNNERS[config.scenario](config, out)
+    results = SCENARIOS[config.scenario][1](config, out)
     summary = {
         "scenario": config.scenario,
         "config": config.as_dict(),
@@ -231,9 +45,9 @@ def list_scenarios() -> str:
     """Human-readable registry of scenarios with the default of every key."""
     defaults = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
     lines = []
-    for name, keys in SCENARIO_KEYS.items():
+    for name, (keys, runner) in SCENARIOS.items():
         pairs = ", ".join(f"{k}={defaults[k]!r}" for k in keys)
-        lines += [name, f"    {_RUNNERS[name].__doc__}", f"    defaults: {pairs}"]
+        lines += [name, f"    {runner.__doc__}", f"    defaults: {pairs}"]
     return "\n".join(lines)
 
 

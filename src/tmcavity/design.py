@@ -62,7 +62,7 @@ class DesignInputs:
 
 
 def _denominator(inputs: DesignInputs) -> np.ndarray:
-    cum = cumulative_integral(inputs.s_in).values.real
+    cum = cumulative_integral(inputs.s_in)
     return inputs.q + 2.0 * inputs.f_s * cum
 
 

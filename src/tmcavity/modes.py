@@ -104,7 +104,7 @@ def optimal_input_mode(
     returns conj(Omega) unchanged.
     """
     fs = params.f_s
-    eps = cumulative_integral(control).values.real
+    eps = cumulative_integral(control)
     if fs == 0.0:
         scale = 1.0
     else:

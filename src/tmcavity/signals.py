@@ -104,18 +104,19 @@ def inner_product(a: TemporalSignal, b: TemporalSignal) -> complex:
     )
 
 
-def cumulative_integral(f: TemporalSignal) -> TemporalSignal:
+def cumulative_integral(f: TemporalSignal) -> np.ndarray:
     """Running trapezoid integral of ``|f|^2`` from the window start.
 
-    Turns a control envelope into its accumulated pulse area; the first
-    sample is exactly 0 and the last equals the full-window trapezoid
-    integral, i.e. the signal energy.
+    Turns a control envelope into its accumulated pulse area, returned as
+    a real float array with one value per grid sample; the first sample is
+    exactly 0 and the last equals the full-window trapezoid integral, i.e.
+    the signal energy.
     """
     g = np.abs(f.values) ** 2
-    out = np.empty(f.grid.n_samples, dtype=complex)
+    out = np.empty(f.grid.n_samples)
     out[0] = 0.0
     np.cumsum(0.5 * f.grid.dt * (g[1:] + g[:-1]), out=out[1:])
-    return TemporalSignal(f.grid, out)
+    return out
 
 
 def normalize(f: TemporalSignal) -> TemporalSignal:

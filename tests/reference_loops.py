@@ -12,7 +12,7 @@ from tmcavity import cumulative_integral
 def reference_closed_form(params, control, s_in):
     """C(t) = i g_s exp(-f_s eps) * trapezoid integral of exp(f_s eps) Omega S_in,
     term for term as written: exp(f_s eps) overflows once f_s eps passes 709."""
-    eps = cumulative_integral(control).values.real
+    eps = cumulative_integral(control)
     kernel = np.exp(params.f_s * eps) * control.values * s_in.values
     integ = np.zeros_like(kernel)
     integ[1:] = np.cumsum(0.5 * control.grid.dt * (kernel[1:] + kernel[:-1]))

@@ -7,8 +7,8 @@ import math
 import pytest
 
 from tmcavity import ConfigError, load_config
-from tmcavity.cli import _RUNNERS, main, run, seed_figures
-from tmcavity.config import SCENARIO_KEYS, ExperimentConfig, dump_config
+from tmcavity.cli import _paper_scenario_configs, main, run, seed_figures
+from tmcavity.config import SCENARIOS, ExperimentConfig, dump_config
 
 GOOD_CONFIG = """\
 [grid]
@@ -67,9 +67,35 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="not valid for scenario"):
             load_config(write_config(tmp_path, bad))
 
-    def test_type_errors_are_anchored(self, tmp_path):
-        bad = GOOD_CONFIG.replace("gamma_s = 10.1", "gamma_s = ten")
-        with pytest.raises(ConfigError, match=r"exp\.ini:8: key 'gamma_s'"):
+    @pytest.mark.parametrize(
+        "old, new, anchor",
+        [
+            ("n_samples = 10001", "n_samples = one", r"exp\.ini:4: key 'n_samples' "
+             r"expects a integer, got 'one'"),
+            ("gamma_s = 10.1", "gamma_s = ten", r"exp\.ini:8: key 'gamma_s' "
+             r"expects a number, got 'ten'"),
+            ("name = fig2-optimal", "name = fig3-orthogonal\nmode_index = first",
+             r"exp\.ini:15: key 'mode_index' expects a integer, got 'first'"),
+        ],
+        ids=["grid", "cavity", "scenario"],
+    )
+    def test_type_errors_are_anchored(self, tmp_path, old, new, anchor):
+        bad = GOOD_CONFIG.replace(old, new)
+        with pytest.raises(ConfigError, match=anchor):
+            load_config(write_config(tmp_path, bad))
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("n_samples = 10001\n", r"exp\.ini:0: \[grid\] is missing key 'n_samples'"),
+            ("alpha = 5.5\n", r"exp\.ini:0: \[cavity\] is missing key 'alpha'"),
+            ("name = fig2-optimal\n", r"exp\.ini:0: \[scenario\] is missing key 'name'"),
+        ],
+        ids=["grid", "cavity", "scenario"],
+    )
+    def test_missing_required_key_is_named(self, tmp_path, line, message):
+        bad = GOOD_CONFIG.replace(line, "")
+        with pytest.raises(ConfigError, match=message):
             load_config(write_config(tmp_path, bad))
 
     def test_missing_section_rejected(self, tmp_path):
@@ -83,8 +109,9 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             load_config(write_config(tmp_path, bad))
 
-    def test_dump_and_reload_round_trip(self, tmp_path):
-        cfg = load_config(write_config(tmp_path, GOOD_CONFIG))
+    @pytest.mark.parametrize("stem", list(_paper_scenario_configs()))
+    def test_dump_and_reload_round_trip(self, tmp_path, stem):
+        cfg = _paper_scenario_configs()[stem]
         again = load_config(write_config(tmp_path, dump_config(cfg), "again.ini"))
         assert again == cfg
 
@@ -93,7 +120,7 @@ class TestCliCommands:
     def test_list_names_every_scenario(self, capsys):
         assert main(["list"]) == 0
         out = capsys.readouterr().out
-        for name in SCENARIO_KEYS:
+        for name in SCENARIOS:
             assert name in out
         assert "fig2-optimal" in out
         assert "alpha-scan" in out
@@ -109,11 +136,9 @@ class TestCliCommands:
         assert "control_center=3.0, basis_size=8, model='full'" in out
 
     def test_one_scenario_registry(self):
-        assert set(_RUNNERS) == set(SCENARIO_KEYS)
         fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
-        for keys in SCENARIO_KEYS.values():
+        for keys, runner in SCENARIOS.values():
             assert set(keys) <= fields
-        for runner in _RUNNERS.values():
             assert runner.__doc__
 
     def test_seed_figures_writes_loadable_configs(self, tmp_path):
@@ -121,7 +146,7 @@ class TestCliCommands:
         assert len(written) == 9
         for path in written:
             cfg = load_config(path)
-            assert cfg.scenario in SCENARIO_KEYS
+            assert cfg.scenario in SCENARIOS
 
     @pytest.mark.parametrize(
         "replacements, extra_args",
@@ -147,6 +172,11 @@ class TestCliCommands:
             ({"fig2-optimal": "fig3-orthogonal\ncontrol_center = 9.0"}, []),
             ({"alpha = 5.5": "alpha = 1e160"}, ["--grid-samples", "101"]),
             ({"fig2-optimal": "fig4-design", "alpha = 5.5": "alpha = 1e160"}, []),
+            (
+                {"fig2-optimal": "alpha-scan\nalpha_min = 1e159\nalpha_max = 3e159\n"
+                 "alpha_step = 1e159"},
+                ["--grid-samples", "101"],
+            ),
         ],
         ids=["n-samples-not-int", "grid-samples-1", "alpha-step-0",
              "alpha-step-negative", "alpha-grid-2-points", "alpha-max-inf",
@@ -155,7 +185,7 @@ class TestCliCommands:
              "fig4-q-negative", "fig4-order-25", "fig4-target-clipped",
              "fig2-control-clipped", "alpha-scan-control-clipped",
              "green-kernel-control-clipped", "fig3-control-clipped",
-             "alpha-1e160", "fig4-alpha-1e160"],
+             "alpha-1e160", "fig4-alpha-1e160", "alpha-grid-1e159"],
     )
     def test_bad_config_exits_2(self, tmp_path, capsys, replacements, extra_args):
         text = GOOD_CONFIG
@@ -166,7 +196,8 @@ class TestCliCommands:
             ["run", "--config", str(path), "--out", str(tmp_path / "o"), *extra_args]
         )
         assert code == 2
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_missing_config_exits_2(self, tmp_path, capsys):
         code = main(

@@ -45,7 +45,7 @@ class TestDesignCoupling:
         # unit-norm target drives the running integral to exactly 1, so the
         # denominator saturates at q + 2 f_s
         fs = bench_params.f_s
-        denom_end = inputs.q + 2.0 * fs * cumulative_integral(target).values[-1].real
+        denom_end = inputs.q + 2.0 * fs * cumulative_integral(target)[-1]
         assert denom_end == pytest.approx(inputs.q + 2.0 * fs, abs=1e-8)
         k_end_expected = fs * abs(target.values[-1]) ** 2 / denom_end
         assert k.values[-1].real == pytest.approx(k_end_expected, rel=1e-12)
