@@ -19,18 +19,11 @@ from .analysis import (
 from .cavity import (
     CavityParams,
     CavityTrajectory,
-    analytic_conversion,
-    simulate_full,
-    simulate_reduced,
+    simulate,
     trajectory_to_csv,
 )
 from .config import ExperimentConfig, load_config
-from .design import (
-    DesignInputs,
-    design_control,
-    design_coupling,
-    impedance_residual,
-)
+from .design import DesignInputs, design_control, impedance_residual
 from .errors import (
     ConfigError,
     DegenerateBasisError,

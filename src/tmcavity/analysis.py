@@ -16,15 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cavity import (
-    MODELS,
-    CavityParams,
-    CavityTrajectory,
-    _integrate,
-    analytic_conversion,
-    simulate_full,
-    simulate_reduced,
-)
+from .cavity import CavityParams, CavityTrajectory, _integrate, _leak, simulate
 from .errors import InstabilityError, UndefinedResidualError
 from .modes import ModeFamily, optimal_input_mode
 from .signals import TemporalSignal, normalize, quadrature_weights, require_same_grid
@@ -124,15 +116,13 @@ def green_kernel(
     best-converting input within the basis span. The closed form drops the
     slow decay, so nothing leaks and its kernel is exactly rank 1.
     """
-    if model not in MODELS:
-        raise ValueError(f"model must be one of {MODELS}, got {model!r}")
     if len(basis) < 2:
         raise ValueError("basis must contain at least 2 modes")
     grid = require_same_grid(control, basis)
     matrix = np.empty((grid.n_samples + 1, len(basis)), complex, order="F")
     matrix[1:] = _integrate(params, model, control, basis.values)[-1].T
     matrix[0] = matrix[-1]
-    matrix[1:] *= 0.0 if model == "analytic" else math.sqrt(2.0 * params.gamma_c)
+    matrix[1:] *= _leak(params, model)
     matrix[1:] *= np.sqrt(quadrature_weights(grid))[:, None]
 
     sv, vh = np.linalg.svd(matrix, full_matrices=False)[1:]
@@ -189,8 +179,6 @@ def scan_alpha(
         raise ValueError("alpha grid needs at least 3 points")
     if any(b <= a for a, b in zip(alphas, alphas[1:])):
         raise ValueError("alpha grid must be strictly ascending")
-    if model not in MODELS:
-        raise ValueError(f"model must be one of {MODELS}, got {model!r}")
 
     w_list: list[float] = []
     for a in alphas:
@@ -200,11 +188,12 @@ def scan_alpha(
         )
         mode = normalize(optimal_input_mode(params, control))
         try:
-            if model == "analytic":
-                w = 1.0 - abs(analytic_conversion(params, control, mode)[1]) ** 2
-            else:
-                run = simulate_full if model == "full" else simulate_reduced
-                w = unconverted_energy(run(params, control, mode)).value
+            traj = simulate(params, control, mode, model)
+            w = (
+                1.0 - abs(traj.C.values[-1]) ** 2
+                if model == "analytic"
+                else unconverted_energy(traj).value
+            )
         except InstabilityError:
             w = math.nan
         w_list.append(w if 0.0 <= w < math.inf else math.nan)

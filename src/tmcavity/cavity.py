@@ -25,9 +25,12 @@ the slow gt_c decay as well gives the closed form
 
     C(t) = i g_s exp(-f_s eps(t)) * Integral_0^t exp(f_s eps) Omega S_in dt'
 
-where eps(t) is the accumulated control pulse area Integral |Omega|^2. All
-three levels are stepped as affine maps and solved by one scan, and the
-closed form is the integrators' test reference.
+where eps(t) is the accumulated control pulse area Integral |Omega|^2, and
+nothing leaks (C_out = 0). :func:`simulate` runs any of the three levels,
+named ``"full"``, ``"reduced"`` and ``"analytic"`` in :data:`MODELS`, and
+returns the same :class:`CavityTrajectory` for each. All three are stepped
+as affine maps and solved by one scan, and the closed form is the
+integrators' test reference.
 """
 
 from __future__ import annotations
@@ -99,8 +102,8 @@ class CavityTrajectory:
     """Time series of a single simulation run.
 
     Holds the intracavity amplitudes, both output fields, and echoes of the
-    drive signals. The output fields satisfy the input-output relations
-    pointwise by construction.
+    drive signals. The output fields satisfy the input-output relations of
+    the model run pointwise by construction.
     """
 
     grid: TimeGrid
@@ -110,28 +113,6 @@ class CavityTrajectory:
     C_out: TemporalSignal
     S_in: TemporalSignal
     control: TemporalSignal
-
-
-def _assemble_trajectory(params, grid, s_arr, c_arr, s_in, control):
-    # C keeps the passivity bound, but a huge rate can overflow a field
-    # scaled from it: reduced S = (alpha / gt_s) C, C_out = sqrt(2 gamma_c) C
-    with np.errstate(over="ignore", invalid="ignore"):
-        s_out = -s_in.values + np.sqrt(2.0 * params.gamma_s) * s_arr
-        c_out = np.sqrt(2.0 * params.gamma_c) * c_arr
-    finite = np.isfinite((s_arr, s_out, c_out))
-    k = int(np.argmin(finite.all(axis=0)))
-    if not finite[:, k].all():
-        name = ("S", "S_out", "C_out")[np.argmin(finite[:, k])]
-        raise _unstable(grid, k, f"{name} overflows")
-    return CavityTrajectory(
-        grid=grid,
-        S=TemporalSignal(grid, s_arr),
-        C=TemporalSignal(grid, c_arr),
-        S_out=TemporalSignal(grid, s_out),
-        C_out=TemporalSignal(grid, c_out),
-        S_in=s_in,
-        control=control,
-    )
 
 
 def _full_rhs(params):
@@ -241,8 +222,10 @@ def _integrate(params, model, control, drives):
     passive, so no state of a row can exceed the drive fed in so far,
     Sum_{j<k} |V_j|; :class:`InstabilityError` names the first sample that
     does, by more than 1e-9 of the row's whole-run sum (a non-finite state
-    always does).
+    always does). A ``model`` not in :data:`MODELS` raises ``ValueError``.
     """
+    if model not in MODELS:
+        raise ValueError(f"model must be one of {MODELS}, got {model!r}")
     grid = control.grid
     dim = 2 if model == "full" else 1
     x = np.zeros((dim, len(drives), grid.n_samples), dtype=complex)
@@ -271,6 +254,11 @@ def _integrate(params, model, control, drives):
     return x
 
 
+def _leak(params, model):
+    """C_out per unit C, sqrt(2 gamma_c); the closed form drops gt_c, so 0."""
+    return 0.0 if model == "analytic" else math.sqrt(2.0 * params.gamma_c)
+
+
 def _unstable(grid, k, what):
     return InstabilityError(
         f"integration unstable: {what} at sample {k} (t = {grid.times[k]:.6g}); "
@@ -278,75 +266,63 @@ def _unstable(grid, k, what):
     )
 
 
-def simulate_full(
+def simulate(
     params: CavityParams,
     control: TemporalSignal,
     s_in: TemporalSignal,
+    model: str = "full",
 ) -> CavityTrajectory:
-    """Integrate the full two-mode model with fixed-step 4th-order Runge-Kutta.
+    """Run one model of the cavity, named in :data:`MODELS`, from empty.
 
-    Both amplitudes start from zero (empty cavity). The grid is the drives'
-    common grid; drives on different grids raise :class:`GridMismatchError`.
-    Drive envelopes are linearly interpolated at the half steps. Each
-    step is an affine map (see :func:`_step_maps`), and the recurrence over
-    the whole window is solved as one vectorized scan (see
-    :func:`_affine_scan`), with no per-sample Python loop. At the default
-    step (dt = 1e-3 against rates of order 10) the scheme is deeply inside
-    the RK4 stability region and dt-halving tests resolve W_out below 1e-6.
+    ``"full"`` steps both amplitudes of the two-mode equations with
+    fixed-step 4th-order Runge-Kutta; ``"reduced"`` steps only C(t) of the
+    adiabatic reduction, and ``"analytic"`` the trapezoid rule of its closed
+    form (see :func:`_closed_form_maps`), finite for any finite f_s. That
+    rule is the one :func:`tmcavity.signals.inner_product` uses, so the
+    closed form's orthogonality statements hold at machine precision. All
+    three solve one vectorized scan (see :func:`_integrate`), with drive
+    envelopes linearly interpolated at the half steps. At the default step
+    (dt = 1e-3 against rates of order 10) RK4 is deeply inside its
+    stability region and dt-halving tests resolve W_out below 1e-6.
 
-    The cavity is passive, so the amplitudes can never outgrow the drive fed
-    in so far; :class:`InstabilityError` names the first sample at which
-    they do, as expansive (unstable) RK4 steps make them.
-    """
-    g = require_same_grid(control, s_in)
-    s_arr, c_arr = _integrate(params, "full", control, s_in.values[None])[:, 0]
-    return _assemble_trajectory(params, g, s_arr, c_arr, s_in, control)
-
-
-def simulate_reduced(
-    params: CavityParams,
-    control: TemporalSignal,
-    s_in: TemporalSignal,
-) -> CavityTrajectory:
-    """Integrate the adiabatically reduced model (fast signal band).
-
-    Only C(t) is stepped with RK4, by the same scan as :func:`simulate_full`;
-    S(t) is reconstructed algebraically from the instantaneous drive and C,
-    and the outputs follow from the same input-output relations as the full
-    model. The grid is the drives' common grid; drives on different grids
-    raise :class:`GridMismatchError`. C(t) is checked against the drive fed
-    in, and :class:`InstabilityError` raised, as in :func:`simulate_full`.
-    """
-    g = require_same_grid(control, s_in)
-    c_arr = _integrate(params, "reduced", control, s_in.values[None])[0, 0]
-    with np.errstate(over="ignore", invalid="ignore"):
-        s_arr = (
-            1j * (params.alpha / params.gamma_tilde_s)
-            * np.conj(control.values) * c_arr
-            + np.sqrt(2.0 * params.gamma_s) / params.gamma_tilde_s * s_in.values
-        )
-    return _assemble_trajectory(params, g, s_arr, c_arr, s_in, control)
-
-
-def analytic_conversion(
-    params: CavityParams,
-    control: TemporalSignal,
-    s_in: TemporalSignal,
-) -> tuple[TemporalSignal, complex]:
-    """Closed-form converted amplitude of the reduced model without slow decay.
-
-    Returns the full C(t) history and its final value, stepped on the
-    integrators' scan (see :func:`_closed_form_maps`), finite for any finite
-    f_s. Intended for the regime where the converted band barely leaks
-    during the process (gamma_c + kappa_c ~ 0); the slow-decay term is
-    dropped exactly as in the derivation. The running integrals share the
-    trapezoid rule with the rest of the package, so orthogonality
-    statements checked with :func:`tmcavity.signals.inner_product` carry
-    over at machine precision.
+    The one-band models rebuild S(t) algebraically from the instantaneous
+    drive and C. The closed form drops the slow gt_c decay, so nothing
+    leaks: its C_out is 0. The grid is the drives' common grid; drives on
+    different grids raise :class:`GridMismatchError`. A state that outgrows
+    the drive fed in so far, as expansive RK4 steps make it, or an output
+    field that overflows raises :class:`InstabilityError` naming the first
+    such sample.
     """
     grid = require_same_grid(control, s_in)
-    c_arr = _integrate(params, "analytic", control, s_in.values[None])[0, 0]
-    return TemporalSignal(grid, c_arr), complex(c_arr[-1])
+    x = _integrate(params, model, control, s_in.values[None])[:, 0]
+    # C keeps the passivity bound, but a huge rate can overflow a field
+    # scaled from it: one-band S = (alpha / gt_s) C, C_out = sqrt(2 gamma_c) C
+    with np.errstate(over="ignore", invalid="ignore"):
+        if model == "full":
+            s_arr, c_arr = x
+        else:
+            c_arr = x[0]
+            s_arr = (
+                1j * (params.alpha / params.gamma_tilde_s)
+                * np.conj(control.values) * c_arr
+                + np.sqrt(2.0 * params.gamma_s) / params.gamma_tilde_s * s_in.values
+            )
+        s_out = -s_in.values + np.sqrt(2.0 * params.gamma_s) * s_arr
+        c_out = _leak(params, model) * c_arr
+    finite = np.isfinite((s_arr, s_out, c_out))
+    k = int(np.argmin(finite.all(axis=0)))
+    if not finite[:, k].all():
+        name = ("S", "S_out", "C_out")[np.argmin(finite[:, k])]
+        raise _unstable(grid, k, f"{name} overflows")
+    return CavityTrajectory(
+        grid=grid,
+        S=TemporalSignal(grid, s_arr),
+        C=TemporalSignal(grid, c_arr),
+        S_out=TemporalSignal(grid, s_out),
+        C_out=TemporalSignal(grid, c_out),
+        S_in=s_in,
+        control=control,
+    )
 
 
 def trajectory_to_csv(traj: CavityTrajectory, path) -> None:

@@ -30,7 +30,7 @@ from .analysis import (
     scan_alpha,
     unconverted_energy,
 )
-from .cavity import MODELS, CavityParams, simulate_full, trajectory_to_csv
+from .cavity import MODELS, CavityParams, simulate, trajectory_to_csv
 from .design import DesignInputs, design_control, impedance_residual
 from .errors import ConfigError, WindowClippingError
 from .modes import (
@@ -84,9 +84,10 @@ class ExperimentConfig:
         if self.scenario == "units" and self.cavity.gamma_c <= 0:
             raise ConfigError("units needs gamma_c > 0 to report converted-band rates")
         span = self.alpha_max - self.alpha_min
-        if not (self.alpha_step > 0 and math.isfinite(span)):
+        if not (self.alpha_step > 0 and math.isfinite(span / self.alpha_step)):
             raise ConfigError(
-                "alpha grid needs finite alpha_min, alpha_max and alpha_step > 0, "
+                "alpha grid needs alpha_step > 0 and a finite point count "
+                "(alpha_max - alpha_min) / alpha_step, "
                 f"got {self.alpha_min}, {self.alpha_max}, {self.alpha_step}"
             )
         alphas = self.alpha_grid
@@ -168,7 +169,7 @@ def _orthogonal_family(config: ExperimentConfig, size: int):
 def _run_fig2_gaussian(config, out):
     """Gaussian control driving an input of the same Gaussian shape (mode-mismatched storage benchmark)."""
     control = gaussian_control(config.control_center, config.grid)
-    traj = simulate_full(config.cavity, control, control)
+    traj = simulate(config.cavity, control, control)
     trajectory_to_csv(traj, out / "trajectory.csv")
     return _trajectory_results(traj, config.cavity)
 
@@ -177,7 +178,7 @@ def _run_fig2_optimal(config, out):
     """Gaussian control driving its matched optimal input mode (near-complete storage)."""
     control = gaussian_control(config.control_center, config.grid)
     mode = optimal_input_mode(config.cavity, control)
-    traj = simulate_full(config.cavity, control, mode)
+    traj = simulate(config.cavity, control, mode)
     trajectory_to_csv(traj, out / "trajectory.csv")
     signal_to_csv(mode, out / "input_mode.csv")
     return _trajectory_results(traj, config.cavity)
@@ -187,7 +188,7 @@ def _run_fig3(config, out):
     """Input mode orthogonal to the optimal one; mode_index picks the family member."""
     control, family = _orthogonal_family(config, config.mode_index)
     mode = family[config.mode_index]
-    traj = simulate_full(config.cavity, control, mode)
+    traj = simulate(config.cavity, control, mode)
     trajectory_to_csv(traj, out / "trajectory.csv")
     signal_to_csv(mode, out / "input_mode.csv")
     results = _trajectory_results(traj, config.cavity)
@@ -203,7 +204,7 @@ def _run_fig4(config, out):
         s_in=target, f_s=config.cavity.f_s, q=config.q, theta=config.theta
     )
     control = design_control(inputs)
-    traj = simulate_full(config.cavity, control, target)
+    traj = simulate(config.cavity, control, target)
     trajectory_to_csv(traj, out / "trajectory.csv")
     signal_to_csv(control, out / "designed_control.csv")
     signal_to_csv(target, out / "target_mode.csv")

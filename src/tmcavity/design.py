@@ -61,31 +61,19 @@ class DesignInputs:
             raise ValueError(f"f_s must be > 0, got {self.f_s}")
 
 
-def _denominator(inputs: DesignInputs) -> np.ndarray:
-    cum = cumulative_integral(inputs.s_in)
-    return inputs.q + 2.0 * inputs.f_s * cum
-
-
-def design_coupling(inputs: DesignInputs) -> TemporalSignal:
-    """Coupling history K(t) storing the target: real, nonnegative, finite.
-
-    The denominator starts at q and grows to q + 2 f_s for a unit-norm
-    target, so K never blows up; where the target vanishes, K vanishes.
-    """
-    k = inputs.f_s * np.abs(inputs.s_in.values) ** 2 / _denominator(inputs)
-    return TemporalSignal(inputs.s_in.grid, k.astype(complex))
-
-
 def design_control(inputs: DesignInputs) -> TemporalSignal:
-    """Control envelope whose coupling history equals :func:`design_coupling`.
+    """Control envelope whose coupling history f_s |Omega|^2 is K(t) above.
 
-    Magnitude sqrt(K / f_s); phase exp(i theta) * exp(-i arg S_in). Not
-    renormalized: the envelope's energy depends (logarithmically) on q, and
-    the simulation is meant to be driven with exactly this shape at the
+    The denominator of K starts at q and grows to q + 2 f_s for a unit-norm
+    target, so K never blows up; where the target vanishes, so does the
+    control. Magnitude sqrt(K / f_s); phase exp(i theta) * exp(-i arg S_in).
+    Not renormalized: the envelope's energy depends (logarithmically) on q,
+    and the simulation is meant to be driven with exactly this shape at the
     same coupling strength that produced f_s.
     """
     s_vals = inputs.s_in.values
-    mag = np.sqrt(np.abs(s_vals) ** 2 / _denominator(inputs))
+    denominator = inputs.q + 2.0 * inputs.f_s * cumulative_integral(inputs.s_in)
+    mag = np.sqrt(np.abs(s_vals) ** 2 / denominator)
     floor = PHASE_FLOOR_REL * float(np.abs(s_vals).max())
     phase = np.where(np.abs(s_vals) > floor, np.angle(s_vals), 0.0)
     vals = np.exp(1j * inputs.theta) * np.exp(-1j * phase) * mag

@@ -14,7 +14,7 @@ from tmcavity import (
     normalize,
     optimal_input_mode,
     polynomial_raw_basis,
-    simulate_full,
+    simulate,
 )
 
 CONTROL_CENTER = 3.0
@@ -52,12 +52,12 @@ def opt_seed(opt_mode):
 
 @pytest.fixture(scope="session")
 def traj_gaussian_input(bench_params, control):
-    return simulate_full(bench_params, control, control)
+    return simulate(bench_params, control, control)
 
 
 @pytest.fixture(scope="session")
 def traj_optimal_input(bench_params, control, opt_mode):
-    return simulate_full(bench_params, control, opt_mode)
+    return simulate(bench_params, control, opt_mode)
 
 
 @pytest.fixture(scope="session")
@@ -68,12 +68,12 @@ def family8(opt_seed):
 
 @pytest.fixture(scope="session")
 def traj_orth_mode1(bench_params, control, family8):
-    return simulate_full(bench_params, control, family8[1])
+    return simulate(bench_params, control, family8[1])
 
 
 @pytest.fixture(scope="session")
 def traj_orth_mode2(bench_params, control, family8):
-    return simulate_full(bench_params, control, family8[2])
+    return simulate(bench_params, control, family8[2])
 
 
 @pytest.fixture(scope="session")
@@ -81,7 +81,7 @@ def designed_hg0(bench_params, grid10):
     target = hermite_gaussian(0, CONTROL_CENTER, grid10)
     inputs = DesignInputs(s_in=target, f_s=bench_params.f_s, q=1e-7, theta=0.0)
     ctl = design_control(inputs)
-    traj = simulate_full(bench_params, ctl, target)
+    traj = simulate(bench_params, ctl, target)
     return target, ctl, traj
 
 
@@ -90,7 +90,7 @@ def designed_hg1(bench_params, grid10):
     target = hermite_gaussian(1, CONTROL_CENTER, grid10)
     inputs = DesignInputs(s_in=target, f_s=bench_params.f_s, q=1e-7, theta=0.0)
     ctl = design_control(inputs)
-    traj = simulate_full(bench_params, ctl, target)
+    traj = simulate(bench_params, ctl, target)
     return target, ctl, traj
 
 

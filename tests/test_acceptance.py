@@ -14,7 +14,6 @@ from tmcavity import (
     CavityParams,
     TemporalSignal,
     TimeGrid,
-    analytic_conversion,
     conservation_residual,
     design_control,
     DesignInputs,
@@ -23,8 +22,7 @@ from tmcavity import (
     normalize,
     optimal_input_mode,
     scan_alpha,
-    simulate_full,
-    simulate_reduced,
+    simulate,
     unconverted_energy,
 )
 
@@ -48,7 +46,7 @@ def fine_scan(control):
 
 def test_criterion_1_gaussian_input_storage(bench_params, control):
     t0 = time.perf_counter()
-    traj = simulate_full(bench_params, control, control)
+    traj = simulate(bench_params, control, control)
     elapsed = time.perf_counter() - t0
     w = unconverted_energy(traj).value
     peak_s = float(np.abs(traj.S.values).max())
@@ -69,7 +67,7 @@ def test_criterion_1_gaussian_input_storage(bench_params, control):
 
 def test_criterion_2_matched_input_storage(bench_params, control, opt_mode):
     t0 = time.perf_counter()
-    traj = simulate_full(bench_params, control, opt_mode)
+    traj = simulate(bench_params, control, opt_mode)
     elapsed = time.perf_counter() - t0
     w = unconverted_energy(traj).value
     peak_c = float(np.abs(traj.C.values).max())
@@ -122,9 +120,9 @@ def test_criterion_5_exponential_conversion_law(grid10):
         )
         mode = optimal_input_mode(par, control)
         expected = math.exp(-2.0 * par.f_s)
-        _, c_end = analytic_conversion(par, control, mode)
+        c_end = simulate(par, control, mode, "analytic").C.values[-1]
         worst = max(worst, abs((1.0 - abs(c_end) ** 2) - expected))
-        w_reduced = unconverted_energy(simulate_reduced(par, control, mode)).value
+        w_reduced = unconverted_energy(simulate(par, control, mode, "reduced")).value
         worst = max(worst, abs(w_reduced - expected))
     ok = worst < 1e-4
     check(
@@ -140,7 +138,7 @@ def test_criterion_6_closed_form_selectivity(
 ):
     worst_amp = 0.0
     for mode in list(family8)[1:6]:
-        _, c_end = analytic_conversion(lossless_params, control, mode)
+        c_end = simulate(lossless_params, control, mode, "analytic").C.values[-1]
         worst_amp = max(worst_amp, abs(c_end))
     sv = kernel_report_analytic.singular_values
     ratio = sv[1] / sv[0]
@@ -173,15 +171,15 @@ def test_criterion_8_conservation_suite(bench_params, grid10, control):
         coeffs = rng.normal(size=6) + 1j * rng.normal(size=6)
         vals = sum(c * h.values for c, h in zip(coeffs, hg_pool))
         sig = normalize(TemporalSignal(grid10, vals))
-        traj = simulate_full(bench_params, control, sig)
+        traj = simulate(bench_params, control, sig)
         worst_balance = max(worst_balance, conservation_residual(traj, bench_params))
 
     s1, s2 = hg_pool[0], hg_pool[3]
     a, b = 0.6 - 0.3j, -0.2 + 0.9j
     mix = TemporalSignal(grid10, a * s1.values + b * s2.values)
-    t1 = simulate_full(bench_params, control, s1)
-    t2 = simulate_full(bench_params, control, s2)
-    tmix = simulate_full(bench_params, control, mix)
+    t1 = simulate(bench_params, control, s1)
+    t2 = simulate(bench_params, control, s2)
+    tmix = simulate(bench_params, control, mix)
     worst_linearity = 0.0
     for field in ("S", "C", "S_out", "C_out"):
         combined = a * getattr(t1, field).values + b * getattr(t2, field).values
@@ -195,7 +193,7 @@ def test_criterion_8_conservation_suite(bench_params, grid10, control):
         g = TimeGrid(0.0, 10.0, n)
         ctl = gaussian_control(3.0, g)
         w_by_step.append(
-            unconverted_energy(simulate_full(bench_params, ctl, ctl)).value
+            unconverted_energy(simulate(bench_params, ctl, ctl)).value
         )
     halving_shift = abs(w_by_step[0] - w_by_step[1])
 
@@ -272,7 +270,7 @@ def test_criterion_11_design_self_consistency(bench_params, grid10, designed_hg0
         ctl = design_control(
             DesignInputs(s_in=target, f_s=bench_params.f_s, q=q, theta=0.0)
         )
-        traj = simulate_full(bench_params, ctl, target)
+        traj = simulate(bench_params, ctl, target)
         w_by_q.append(unconverted_energy(traj).value)
     spread = max(w_by_q) - min(w_by_q)
 

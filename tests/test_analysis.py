@@ -15,7 +15,6 @@ from tmcavity import (
     TemporalSignal,
     TimeGrid,
     UndefinedResidualError,
-    analytic_conversion,
     conservation_residual,
     gaussian_control,
     gram_schmidt_family,
@@ -28,8 +27,7 @@ from tmcavity import (
     polynomial_raw_basis,
     quadrature_weights,
     scan_alpha,
-    simulate_full,
-    simulate_reduced,
+    simulate,
     unconverted_energy,
 )
 from tmcavity import analysis
@@ -53,12 +51,12 @@ class TestUnconvertedEnergy:
 
     def test_no_coupling_everything_leaves_unconverted(self, control):
         par = CavityParams(gamma_s=10.1, gamma_c=0.0, alpha=0.0)
-        traj = simulate_full(par, control, control)
+        traj = simulate(par, control, control)
         assert unconverted_energy(traj).value == pytest.approx(1.0, abs=1e-6)
 
     def test_reduced_model_matches_exponential_law(self, control, opt_mode):
         par = CavityParams(gamma_s=10.1, gamma_c=0.0, alpha=5.5)
-        traj = simulate_reduced(par, control, opt_mode)
+        traj = simulate(par, control, opt_mode, "reduced")
         expected = math.exp(-2.0 * par.f_s)
         assert expected == pytest.approx(0.0025, abs=1e-4)
         assert unconverted_energy(traj).value == pytest.approx(expected, abs=1e-4)
@@ -70,7 +68,7 @@ class TestUnconvertedEnergy:
         control = gaussian_control(3.0, grid)
         late_input = hermite_gaussian(0, 5.0, grid)
         par = CavityParams(**BENCH)
-        traj = simulate_full(par, control, late_input)
+        traj = simulate(par, control, late_input)
         w = unconverted_energy(traj)
         assert not w.plateaued
         assert w.tail_fraction >= 1e-3
@@ -83,12 +81,12 @@ class TestConservationResidual:
     def test_internal_loss_breaks_the_balance(self, grid10):
         par = CavityParams(**BENCH, kappa_s=1.0)
         control = gaussian_control(3.0, grid10)
-        traj = simulate_full(par, control, control)
+        traj = simulate(par, control, control)
         assert conservation_residual(traj, par) > 0.01
 
     def test_zero_input_is_undefined(self, bench_params, grid10, control):
         zero = TemporalSignal(grid10, np.zeros(grid10.n_samples))
-        traj = simulate_full(bench_params, control, zero)
+        traj = simulate(bench_params, control, zero)
         with pytest.raises(UndefinedResidualError):
             conservation_residual(traj, bench_params)
 
@@ -190,9 +188,16 @@ class TestGreenKernel:
                 model="full",
             )
 
-    def test_unknown_model_rejected(self, bench_params, control, family8):
-        with pytest.raises(ValueError):
-            green_kernel(bench_params, control, family8, model="exact")
+    @pytest.mark.parametrize("model", ["exact", "Full"])
+    def test_unknown_model_rejected(self, bench_params, control, family8, model):
+        # one check on the path every model name takes
+        scan = dict(gamma_s=10.1, gamma_c=0.01, control=control, model=model)
+        with pytest.raises(ValueError, match="model must be one of"):
+            green_kernel(bench_params, control, family8, model=model)
+        with pytest.raises(ValueError, match="model must be one of"):
+            simulate(bench_params, control, family8[0], model)
+        with pytest.raises(ValueError, match="model must be one of"):
+            scan_alpha([1.0, 2.0, 3.0], **scan)
 
     @pytest.mark.parametrize("model", ["full", "reduced", "analytic"])
     @pytest.mark.parametrize(
@@ -223,7 +228,6 @@ def _random_family(grid, m, seed):
     return ModeFamily(grid, q.T / np.sqrt(quadrature_weights(grid)))
 
 
-SIMULATORS = {"full": simulate_full, "reduced": simulate_reduced}
 REFERENCES = {"full": reference_full, "reduced": reference_reduced}
 
 
@@ -279,10 +283,7 @@ class TestBatchedKernelMatchesSingleRuns:
         failures = []
         for j, mode in enumerate(basis):
             try:
-                if model == "analytic":
-                    expected[0, j] = analytic_conversion(params, control, mode)[1]
-                    continue
-                traj = SIMULATORS[model](params, control, mode)
+                traj = simulate(params, control, mode, model)
             except InstabilityError as exc:
                 failures.append((named_sample(exc), str(exc), mode))
                 continue
@@ -403,12 +404,12 @@ class TestScanAlpha:
     def test_diverging_points_are_excluded(self, monkeypatch):
         # RK4 stays finite at every matched input tried at gamma_s = 10.1, so
         # the alpha = 400 run is made to diverge
-        def run(params, control, mode):
+        def run(params, control, mode, model):
             if params.alpha == 400.0:
                 raise InstabilityError("integration diverged")
-            return simulate_full(params, control, mode)
+            return simulate(params, control, mode, model)
 
-        monkeypatch.setattr(analysis, "simulate_full", run)
+        monkeypatch.setattr(analysis, "simulate", run)
         grid = TimeGrid(0.0, 10.0, 101)
         control = gaussian_control(3.0, grid)
         scan = scan_alpha(

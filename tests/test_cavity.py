@@ -14,7 +14,6 @@ from tmcavity import (
     ModeFamily,
     TemporalSignal,
     TimeGrid,
-    analytic_conversion,
     conservation_residual,
     cumulative_integral,
     gaussian_control,
@@ -26,13 +25,12 @@ from tmcavity import (
     optimal_input_mode,
     polynomial_raw_basis,
     quadrature_weights,
-    simulate_full,
-    simulate_reduced,
+    simulate,
     trajectory_to_csv,
     unconverted_energy,
 )
 from tmcavity import cavity
-from tmcavity.cavity import _STEP_BLOCK
+from tmcavity.cavity import _STEP_BLOCK, MODELS
 
 from reference_loops import (
     first_unbounded_sample,
@@ -45,10 +43,7 @@ from reference_loops import (
 BENCH = dict(gamma_s=10.1, gamma_c=0.01, alpha=5.5)
 
 
-INTEGRATORS = [
-    pytest.param(simulate_full, reference_full, id="full"),
-    pytest.param(simulate_reduced, reference_reduced, id="reduced"),
-]
+INTEGRATORS = [("full", reference_full), ("reduced", reference_reduced)]
 
 
 def _chirped_pulse(grid, center, width, chirp, amplitude):
@@ -128,7 +123,7 @@ class TestSimulateFull:
 
     def test_no_coupling_passes_everything_through(self, grid10, control):
         par = CavityParams(gamma_s=10.1, gamma_c=0.01, alpha=0.0)
-        traj = simulate_full(par, control, control)
+        traj = simulate(par, control, control)
         assert np.abs(traj.C.values).max() == 0.0
         assert unconverted_energy(traj).value == pytest.approx(1.0, abs=1e-6)
 
@@ -145,15 +140,13 @@ class TestSimulateFull:
         control = gaussian_control(3.0, grid)
         stiff = CavityParams(gamma_s=5000.0, gamma_c=0.01, alpha=5.5)
         with pytest.raises(InstabilityError, match="sample"):
-            simulate_full(stiff, control, control)
+            simulate(stiff, control, control)
 
-    @pytest.mark.parametrize(
-        "run", [simulate_full, simulate_reduced, analytic_conversion]
-    )
-    def test_drives_must_share_grid(self, control, run):
+    @pytest.mark.parametrize("model", MODELS)
+    def test_drives_must_share_grid(self, control, model):
         other = gaussian_control(3.0, TimeGrid(0.0, 10.0, 5001))
         with pytest.raises(GridMismatchError):
-            run(CavityParams(**BENCH), control, other)
+            simulate(CavityParams(**BENCH), control, other, model)
 
 
 class TestSimulateReduced:
@@ -164,7 +157,7 @@ class TestSimulateReduced:
         pulse = TemporalSignal(grid, np.exp(-((grid.times - 3.0) ** 2)))
         par = CavityParams(gamma_s=1e-300, gamma_c=0.0, alpha=1e10)
         with pytest.raises(InstabilityError, match=r"at sample 1 "):
-            simulate_reduced(par, pulse, pulse)
+            simulate(par, pulse, pulse, "reduced")
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_signal_amplitude_is_named(self):
@@ -175,36 +168,34 @@ class TestSimulateReduced:
         par = CavityParams(gamma_s=1.0, gamma_c=0.0, alpha=1e50)
         assert first_unbounded_sample(reference_reduced, par, pulse, pulse) is None
         with pytest.raises(InstabilityError, match=r"S overflows at sample 1 "):
-            simulate_reduced(par, pulse, pulse)
+            simulate(par, pulse, pulse, "reduced")
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize(
-        "simulate, gamma_c", [(simulate_reduced, 1e100), (simulate_full, 1e123)]
-    )
-    def test_overflowing_output_field_is_named(self, simulate, gamma_c):
+    @pytest.mark.parametrize("model, gamma_c", [("reduced", 1e100), ("full", 1e123)])
+    def test_overflowing_output_field_is_named(self, model, gamma_c):
         # One stiff step: C keeps its bound, C_out = sqrt(2 gamma_c) C does not
         grid = TimeGrid(0.0, 10.0, 2)
         ones = TemporalSignal(grid, np.ones(2))
         par = CavityParams(gamma_s=1.0, gamma_c=gamma_c, alpha=1.0)
         with pytest.raises(InstabilityError, match=r"C_out overflows at sample 1 "):
-            simulate(par, ones, ones)
+            simulate(par, ones, ones, model)
 
     def test_matched_input_reaches_analytic_efficiency(self, control, opt_mode):
         par = CavityParams(gamma_s=10.1, gamma_c=0.0, alpha=5.5)
-        traj = simulate_reduced(par, control, opt_mode)
+        traj = simulate(par, control, opt_mode, "reduced")
         expected = 1.0 - math.exp(-2.0 * par.f_s)
         assert abs(traj.C.values[-1]) ** 2 == pytest.approx(expected, abs=1e-4)
 
     def test_orthogonal_input_stores_nothing(self, control, family8):
         par = CavityParams(gamma_s=10.1, gamma_c=0.0, alpha=5.5)
-        traj = simulate_reduced(par, control, family8[1])
+        traj = simulate(par, control, family8[1], "reduced")
         assert abs(traj.C.values[-1]) ** 2 <= 1e-6
 
     def test_no_control_decouples_the_bands(self, grid10):
         par = CavityParams(**BENCH, kappa_s=0.3)
         zero = TemporalSignal(grid10, np.zeros(grid10.n_samples))
         s_in = hermite_gaussian(0, 5.0, grid10)
-        traj = simulate_reduced(par, zero, s_in)
+        traj = simulate(par, zero, s_in, "reduced")
         assert np.all(traj.C.values == 0.0)
         expected_s = math.sqrt(2 * par.gamma_s) / par.gamma_tilde_s * s_in.values
         assert np.abs(traj.S.values - expected_s).max() < 1e-15
@@ -218,26 +209,26 @@ class TestAnalyticConversion:
         grid = TimeGrid(-1.0, 10.0, 176001)
         control = gaussian_control(3.0, grid)
         mode = optimal_input_mode(par, control)
-        _, c_end = analytic_conversion(par, control, mode)
+        c_end = simulate(par, control, mode, "analytic").C.values[-1]
         expected = 1.0 - math.exp(-2.0 * par.f_s)
         assert abs(c_end) ** 2 == pytest.approx(expected, abs=1e-8)
 
     def test_matched_input_efficiency_on_default_grid(
         self, lossless_params, control, opt_mode
     ):
-        _, c_end = analytic_conversion(lossless_params, control, opt_mode)
+        c_end = simulate(lossless_params, control, opt_mode, "analytic").C.values[-1]
         expected = 1.0 - math.exp(-2.0 * lossless_params.f_s)
         assert abs(c_end) ** 2 == pytest.approx(expected, abs=1e-5)
 
     def test_orthogonal_inputs_give_exact_null(self, lossless_params, control, family8):
         for mode in list(family8)[1:4]:
-            _, c_end = analytic_conversion(lossless_params, control, mode)
+            c_end = simulate(lossless_params, control, mode, "analytic").C.values[-1]
             assert abs(c_end) <= 1e-8
 
     def test_no_coupling_no_conversion(self, control):
         par = CavityParams(gamma_s=10.1, gamma_c=0.0, alpha=0.0)
-        c_sig, c_end = analytic_conversion(par, control, control)
-        assert np.all(c_sig.values == 0.0) and c_end == 0.0
+        traj = simulate(par, control, control, "analytic")
+        assert np.all(traj.C.values == 0.0)
 
     @settings(max_examples=30, deadline=None)
     @given(params=cavity_params, signals=drives())
@@ -247,7 +238,7 @@ class TestAnalyticConversion:
         eps = cumulative_integral(control)
         assume(params.f_s * eps.max() < 700.0)
         want = reference_closed_form(params, control, s_in)
-        got = analytic_conversion(params, control, s_in)[0].values
+        got = simulate(params, control, s_in, "analytic").C.values
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
     @settings(max_examples=30, deadline=None)
@@ -270,19 +261,19 @@ class TestAnalyticConversion:
         grid = TimeGrid(0.0, 10.0, 1001)
         control = gaussian_control(3.0, grid)
         par = CavityParams(gamma_s=10.1, gamma_c=0.0, alpha=alpha)
-        c_sig, c_end = analytic_conversion(par, control, control)
-        assert np.isfinite(c_sig.values).all() and np.isfinite(c_end)
+        traj = simulate(par, control, control, "analytic")
+        assert np.isfinite(traj.C.values).all()
 
     @pytest.mark.parametrize("alpha", [100.0, 300.0, 1000.0])
     def test_large_coupling_stays_finite_and_matches_reduced(self, control, alpha):
         # 2 f_s reaches 2e5 here, far past exp() overflow of the unshifted form
         par = CavityParams(gamma_s=10.1, gamma_c=0.0, alpha=alpha)
         mode = normalize(optimal_input_mode(par, control))
-        c_sig, c_end = analytic_conversion(par, control, mode)
-        assert np.isfinite(c_sig.values).all()
-        assert abs(c_end) ** 2 == pytest.approx(1.0, abs=1e-5)
-        reduced = simulate_reduced(par, control, mode)
-        assert np.abs(reduced.C.values - c_sig.values).max() < 1e-5
+        c = simulate(par, control, mode, "analytic").C.values
+        assert np.isfinite(c).all()
+        assert abs(c[-1]) ** 2 == pytest.approx(1.0, abs=1e-5)
+        reduced = simulate(par, control, mode, "reduced")
+        assert np.abs(reduced.C.values - c).max() < 1e-5
 
 
 class TestModelAgreement:
@@ -298,33 +289,36 @@ class TestModelAgreement:
         s2 = hermite_gaussian(3, 5.0, grid10)
         a, b = 0.3 - 0.7j, 1.1 + 0.2j
         mix = TemporalSignal(grid10, a * s1.values + b * s2.values)
-        t1 = simulate_full(par, control, s1)
-        t2 = simulate_full(par, control, s2)
-        tm = simulate_full(par, control, mix)
+        t1 = simulate(par, control, s1)
+        t2 = simulate(par, control, s2)
+        tm = simulate(par, control, mix)
         for field in ("S", "C", "S_out", "C_out"):
             combined = a * getattr(t1, field).values + b * getattr(t2, field).values
             assert np.abs(getattr(tm, field).values - combined).max() < 1e-9
 
     def test_reduced_matches_closed_form_uniformly(self, control, opt_mode):
         par = CavityParams(gamma_s=10.1, gamma_c=0.0, alpha=5.5)
-        traj = simulate_reduced(par, control, opt_mode)
-        c_sig, _ = analytic_conversion(par, control, opt_mode)
-        assert np.abs(traj.C.values - c_sig.values).max() < 1e-5
+        reduced = simulate(par, control, opt_mode, "reduced")
+        closed = simulate(par, control, opt_mode, "analytic")
+        for field in ("C", "S", "S_out"):
+            new, old = getattr(closed, field).values, getattr(reduced, field).values
+            assert np.abs(new - old).max() < 1e-5
 
     def test_full_and_reduced_agree_on_stored_energy(
         self, bench_params, control, opt_mode, traj_optimal_input
     ):
-        reduced = simulate_reduced(bench_params, control, opt_mode)
+        reduced = simulate(bench_params, control, opt_mode, "reduced")
         full_c2 = abs(traj_optimal_input.C.values[-1]) ** 2
         red_c2 = abs(reduced.C.values[-1]) ** 2
         assert abs(full_c2 - red_c2) < 0.02
 
-    def test_step_halving_leaves_results_unchanged(self):
+    @pytest.mark.parametrize("model", MODELS)
+    def test_step_halving_leaves_results_unchanged(self, model):
         results = []
         for n in (10001, 20001):
             grid = TimeGrid(0.0, 10.0, n)
             control = gaussian_control(3.0, grid)
-            traj = simulate_full(CavityParams(**BENCH), control, control)
+            traj = simulate(CavityParams(**BENCH), control, control, model)
             results.append(unconverted_energy(traj).value)
         assert abs(results[0] - results[1]) < 1e-6
 
@@ -343,19 +337,19 @@ class TestTrajectoryCsv:
 class TestStepMapsMatchScalarLoops:
     """The per-step affine maps reproduce the scalar RK4 loops they replaced."""
 
-    @pytest.mark.parametrize("simulate, reference", INTEGRATORS)
+    @pytest.mark.parametrize("model, reference", INTEGRATORS)
     @settings(max_examples=30, deadline=None)
     @given(params=cavity_params, signals=drives())
-    def test_amplitudes_match_reference(self, simulate, reference, params, signals):
+    def test_amplitudes_match_reference(self, model, reference, params, signals):
         # an expansive draw must fail where the loop outgrows its drive
         control, s_in = signals
         expected = first_unbounded_sample(reference, params, control, s_in)
         if expected is not None:
             with pytest.raises(InstabilityError) as info:
-                simulate(params, control, s_in)
+                simulate(params, control, s_in, model)
             assert named_sample(info.value) == expected
             return
-        traj = simulate(params, control, s_in)
+        traj = simulate(params, control, s_in, model)
         old_s, old_c = reference(params, control, s_in)
         for new, old in ((traj.S.values, old_s), (traj.C.values, old_c)):
             assert np.abs(new - old).max() <= 1e-12 * np.abs(old).max()
@@ -367,12 +361,12 @@ class TestStepMapsMatchScalarLoops:
         expected = first_unbounded_sample(reference_full, stiff, control, control)
         assert expected == 2
         with pytest.raises(InstabilityError, match=rf"at sample {expected} "):
-            simulate_full(stiff, control, control)
+            simulate(stiff, control, control)
 
-    @pytest.mark.parametrize("simulate, reference", INTEGRATORS)
+    @pytest.mark.parametrize("model, reference", INTEGRATORS)
     @pytest.mark.parametrize("rate", np.geomspace(300.0, 1e5, 13).tolist())
     def test_divergence_is_named_at_the_reference_sample(
-        self, simulate, reference, rate
+        self, model, reference, rate
     ):
         # dt = 0.1 puts either band's decay far outside the stability region
         grid = TimeGrid(0.0, 10.0, 101)
@@ -381,7 +375,7 @@ class TestStepMapsMatchScalarLoops:
         expected = first_unbounded_sample(reference, stiff, control, control)
         assert expected is not None
         with pytest.raises(InstabilityError) as info:
-            simulate(stiff, control, control)
+            simulate(stiff, control, control, model)
         assert named_sample(info.value) == expected
 
 
@@ -444,13 +438,10 @@ class TestAffineScan:
             cavity, "_apply", lambda m, x: products.append(1) or apply(m, x)
         )
         c_out_weight = np.sqrt(2.0 * par.gamma_c * quadrature_weights(grid))
-        for model, simulate, reference in (
-            ("full", simulate_full, reference_full),
-            ("reduced", simulate_reduced, reference_reduced),
-        ):
+        for model, reference in INTEGRATORS:
             expected = np.empty((grid.n_samples + 1, len(basis)), complex)
             for j, mode in enumerate(basis):
-                traj = simulate(par, control, mode)
+                traj = simulate(par, control, mode, model)
                 old_s, old_c = reference(par, control, mode)
                 for new, old in ((traj.S.values, old_s), (traj.C.values, old_c)):
                     assert np.isfinite(new).all()
@@ -465,32 +456,32 @@ class TestAffineScan:
 class TestPhysicsProperties:
     """Invariants of the model on the default grid, over drawn parameters."""
 
-    @pytest.mark.parametrize("simulate", [simulate_full, simulate_reduced])
+    @pytest.mark.parametrize("model", MODELS)
     @settings(max_examples=20, deadline=None)
     @given(
         a=st.complex_numbers(max_magnitude=3.0),
         b=st.complex_numbers(max_magnitude=3.0),
     )
-    def test_linear_in_the_signal(self, grid10, control, simulate, a, b):
+    def test_linear_in_the_signal(self, grid10, control, model, a, b):
         par = CavityParams(**BENCH, kappa_s=0.2)
         s1 = hermite_gaussian(0, 4.0, grid10)
         s2 = hermite_gaussian(2, 5.0, grid10)
         mix = TemporalSignal(grid10, a * s1.values + b * s2.values)
-        t1 = simulate(par, control, s1)
-        t2 = simulate(par, control, s2)
-        tm = simulate(par, control, mix)
+        t1 = simulate(par, control, s1, model)
+        t2 = simulate(par, control, s2, model)
+        tm = simulate(par, control, mix, model)
         for field in ("S", "C", "S_out", "C_out"):
             combined = a * getattr(t1, field).values + b * getattr(t2, field).values
             assert np.abs(getattr(tm, field).values - combined).max() < 1e-9
 
-    @pytest.mark.parametrize("simulate", [simulate_full, simulate_reduced])
-    def test_linear_down_to_tiny_drives(self, control, opt_mode, simulate):
+    @pytest.mark.parametrize("model", MODELS)
+    def test_linear_down_to_tiny_drives(self, control, opt_mode, model):
         # the step drives' squares (~1e-327) underflow to 0 here, the
         # states' squares do not: the passivity check must not square
         par = CavityParams(**BENCH)
         tiny = TemporalSignal(opt_mode.grid, 1e-161 * opt_mode.values)
-        want = simulate(par, control, opt_mode)
-        got = simulate(par, control, tiny)
+        want = simulate(par, control, opt_mode, model)
+        got = simulate(par, control, tiny, model)
         for field in ("S", "C"):
             scaled = 1e161 * getattr(got, field).values
             assert np.abs(scaled - getattr(want, field).values).max() < 1e-12
@@ -507,12 +498,12 @@ class TestPhysicsProperties:
         control = gaussian_control(center, grid10)
         s_in = hermite_gaussian(order, center, grid10)
         lossless = CavityParams(gamma_s=gamma_s, gamma_c=0.01, alpha=alpha)
-        traj = simulate_full(lossless, control, s_in)
+        traj = simulate(lossless, control, s_in)
         assert conservation_residual(traj, lossless) < 1e-5
         lossy = CavityParams(
             gamma_s=gamma_s, gamma_c=0.01, alpha=alpha, kappa_s=kappa_s
         )
-        traj = simulate_full(lossy, control, s_in)
+        traj = simulate(lossy, control, s_in)
         assert conservation_residual(traj, lossy) > 0.0
 
     @settings(max_examples=30, deadline=None)
@@ -530,8 +521,10 @@ class TestPhysicsProperties:
         control = gaussian_control(center, grid)
         seed = normalize(optimal_input_mode(params, control))
         family = gram_schmidt_family(seed, polynomial_raw_basis(seed, order, center))
-        matched = abs(analytic_conversion(params, control, seed)[1]) ** 2
-        orthogonal = abs(analytic_conversion(params, control, family[order])[1]) ** 2
+        matched = abs(simulate(params, control, seed, "analytic").C.values[-1]) ** 2
+        orthogonal = abs(
+            simulate(params, control, family[order], "analytic").C.values[-1]
+        ) ** 2
         assert orthogonal <= 1e-20 * matched
-        traj = simulate_full(params, control, family[order])
+        traj = simulate(params, control, family[order])
         assert unconverted_energy(traj).value > 0.95

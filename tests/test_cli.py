@@ -177,6 +177,8 @@ class TestCliCommands:
                  "alpha_step = 1e159"},
                 ["--grid-samples", "101"],
             ),
+            ({"fig2-optimal": "alpha-scan\nalpha_min = -1e300\nalpha_max = 1e300\n"
+              "alpha_step = 1e-300"}, []),
         ],
         ids=["n-samples-not-int", "grid-samples-1", "alpha-step-0",
              "alpha-step-negative", "alpha-grid-2-points", "alpha-max-inf",
@@ -185,7 +187,8 @@ class TestCliCommands:
              "fig4-q-negative", "fig4-order-25", "fig4-target-clipped",
              "fig2-control-clipped", "alpha-scan-control-clipped",
              "green-kernel-control-clipped", "fig3-control-clipped",
-             "alpha-1e160", "fig4-alpha-1e160", "alpha-grid-1e159"],
+             "alpha-1e160", "fig4-alpha-1e160", "alpha-grid-1e159",
+             "alpha-grid-count-inf"],
     )
     def test_bad_config_exits_2(self, tmp_path, capsys, replacements, extra_args):
         text = GOOD_CONFIG
