@@ -23,7 +23,7 @@ from .cavity import (
     trajectory_to_csv,
 )
 from .config import ExperimentConfig, load_config
-from .design import DesignInputs, design_control, impedance_residual
+from .design import design_control, impedance_residual
 from .errors import (
     ConfigError,
     DegenerateBasisError,
@@ -39,7 +39,6 @@ from .errors import (
     WindowClippingError,
 )
 from .modes import (
-    ModeFamily,
     gaussian_control,
     gram_schmidt_family,
     hermite_gaussian,

@@ -17,9 +17,14 @@ from typing import Sequence
 import numpy as np
 
 from .cavity import CavityParams, CavityTrajectory, _integrate, _leak, simulate
-from .errors import InstabilityError, UndefinedResidualError
-from .modes import ModeFamily, optimal_input_mode
-from .signals import TemporalSignal, normalize, quadrature_weights, require_same_grid
+from .errors import (
+    GridMismatchError,
+    InstabilityError,
+    NonOrthonormalBasisError,
+    UndefinedResidualError,
+)
+from .modes import ORTHONORMALITY_TOL, optimal_input_mode
+from .signals import TemporalSignal, normalize, quadrature_weights
 
 SPEED_OF_LIGHT = 299792458.0  # m/s
 
@@ -63,7 +68,8 @@ def conservation_residual(traj: CavityTrajectory, params: CavityParams) -> float
     With no internal loss the input energy must equal the energy still in
     the cavity plus everything that left through the two output channels;
     the nonlinear exchange terms cancel pairwise. Internal loss makes the
-    returned value strictly positive.
+    returned value strictly positive. Only the full model stores photons
+    in S; a one-band model's S is a pass-through, so it counts C alone.
     """
     w = quadrature_weights(traj.grid)
     e_in = float((w * np.abs(traj.S_in.values) ** 2).sum())
@@ -72,7 +78,9 @@ def conservation_residual(traj: CavityTrajectory, params: CavityParams) -> float
     e_out = float(
         (w * (np.abs(traj.S_out.values) ** 2 + np.abs(traj.C_out.values) ** 2)).sum()
     )
-    stored = abs(traj.S.values[-1]) ** 2 + abs(traj.C.values[-1]) ** 2
+    stored = abs(traj.C.values[-1]) ** 2
+    if traj.model == "full":
+        stored += abs(traj.S.values[-1]) ** 2
     return abs(e_in - (stored + e_out)) / e_in
 
 
@@ -84,13 +92,14 @@ class SchmidtReport:
     on top of the quadrature-weighted leaked converted field, so the squared
     column norm is that mode's converted energy. ``conversion_efficiencies``
     are the squared singular values: converted energy per Schmidt mode under
-    unit-energy input. ``input_modes`` are the right singular vectors mapped
-    back to time-domain signals, dominant first.
+    unit-energy input. ``input_modes`` holds the right singular vectors
+    mapped back to ``(m, n_samples)`` rows on the control's grid, dominant
+    first; they are orthonormal because the basis is and ``vh`` is unitary.
     """
 
     singular_values: np.ndarray
     conversion_efficiencies: np.ndarray
-    input_modes: ModeFamily
+    input_modes: np.ndarray
     schmidt_number: float
     response_matrix: np.ndarray
 
@@ -105,22 +114,43 @@ class SchmidtReport:
 def green_kernel(
     params: CavityParams,
     control: TemporalSignal,
-    basis: ModeFamily,
+    basis: np.ndarray,
     model: str = "full",
 ) -> SchmidtReport:
     """Assemble and decompose the conversion kernel over an input basis.
 
-    Drives the chosen model with every basis mode in one batched pass (the
-    :class:`ModeFamily` constructor has certified orthonormality, so column
-    norms are physical energies). The dominant right singular vector is the
-    best-converting input within the basis span. The closed form drops the
-    slow decay, so nothing leaks and its kernel is exactly rank 1.
+    ``basis`` is an ``(m, n_samples)`` array, m >= 2, of modes sampled on
+    ``control.grid``, as :func:`gram_schmidt_family` returns them. Its rows
+    must be trapezoid-orthonormal there, so that column norms are physical
+    energies, or :class:`NonOrthonormalBasisError` is raised; any other
+    shape raises :class:`GridMismatchError`. Rows carry no grid: rows from
+    a shifted window with the same dt and sample count read as samples on
+    the control's grid, and a different dt fails the orthonormality check.
+    All modes run in one batched pass. The dominant right singular vector
+    is the best-converting input within the basis span. The closed form
+    drops the slow decay, so nothing leaks and its kernel is exactly rank 1.
     """
+    grid = control.grid
+    basis = np.ascontiguousarray(basis, dtype=complex)
+    if basis.ndim != 2 or basis.shape[1] != grid.n_samples:
+        raise GridMismatchError(
+            f"basis must be (m, {grid.n_samples}) samples, got {basis.shape}"
+        )
     if len(basis) < 2:
         raise ValueError("basis must contain at least 2 modes")
-    grid = require_same_grid(control, basis)
+    # conj(basis) * w is built in place, so the check adds one (m, n) array.
+    weighted = np.conj(basis)
+    weighted *= quadrature_weights(grid)
+    gram = weighted @ basis.T
+    del weighted
+    gram[np.diag_indices_from(gram)] -= 1.0
+    worst = float(np.abs(gram).max())
+    if not worst < ORTHONORMALITY_TOL:  # also rejects NaN
+        raise NonOrthonormalBasisError(
+            f"pairwise inner products deviate from identity by {worst:.3e}"
+        )
     matrix = np.empty((grid.n_samples + 1, len(basis)), complex, order="F")
-    matrix[1:] = _integrate(params, model, control, basis.values)[-1].T
+    matrix[1:] = _integrate(params, model, control, basis)[-1].T
     matrix[0] = matrix[-1]
     matrix[1:] *= _leak(params, model)
     matrix[1:] *= np.sqrt(quadrature_weights(grid))[:, None]
@@ -138,7 +168,7 @@ def green_kernel(
     return SchmidtReport(
         singular_values=sv,
         conversion_efficiencies=efficiencies,
-        input_modes=ModeFamily(basis.grid, vh.conj() @ basis.values),
+        input_modes=vh.conj() @ basis,
         schmidt_number=schmidt,
         response_matrix=matrix,
     )

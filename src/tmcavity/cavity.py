@@ -101,9 +101,10 @@ class CavityParams:
 class CavityTrajectory:
     """Time series of a single simulation run.
 
-    Holds the intracavity amplitudes, both output fields, and echoes of the
-    drive signals. The output fields satisfy the input-output relations of
-    the model run pointwise by construction.
+    Holds the intracavity amplitudes, both output fields, echoes of the
+    drive signals, and the name of the model that ran (see :data:`MODELS`).
+    The output fields satisfy the input-output relations of that model
+    pointwise by construction.
     """
 
     grid: TimeGrid
@@ -113,6 +114,7 @@ class CavityTrajectory:
     C_out: TemporalSignal
     S_in: TemporalSignal
     control: TemporalSignal
+    model: str
 
 
 def _full_rhs(params):
@@ -322,6 +324,7 @@ def simulate(
         C_out=TemporalSignal(grid, c_out),
         S_in=s_in,
         control=control,
+        model=model,
     )
 
 

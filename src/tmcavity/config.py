@@ -31,7 +31,7 @@ from .analysis import (
     unconverted_energy,
 )
 from .cavity import MODELS, CavityParams, simulate, trajectory_to_csv
-from .design import DesignInputs, design_control, impedance_residual
+from .design import design_control, impedance_residual
 from .errors import ConfigError, WindowClippingError
 from .modes import (
     CONTROL_MARGIN,
@@ -44,7 +44,14 @@ from .modes import (
     optimal_input_mode,
     polynomial_raw_basis,
 )
-from .signals import TimeGrid, _write_csv, inner_product, normalize, signal_to_csv
+from .signals import (
+    TemporalSignal,
+    TimeGrid,
+    _write_csv,
+    inner_product,
+    normalize,
+    signal_to_csv,
+)
 
 # Written in this order by dump_config, so it fixes the bytes of every
 # seeded config file.
@@ -187,7 +194,7 @@ def _run_fig2_optimal(config, out):
 def _run_fig3(config, out):
     """Input mode orthogonal to the optimal one; mode_index picks the family member."""
     control, family = _orthogonal_family(config, config.mode_index)
-    mode = family[config.mode_index]
+    mode = TemporalSignal(config.grid, family[config.mode_index])
     traj = simulate(config.cavity, control, mode)
     trajectory_to_csv(traj, out / "trajectory.csv")
     signal_to_csv(mode, out / "input_mode.csv")
@@ -200,10 +207,7 @@ def _run_fig3(config, out):
 def _run_fig4(config, out):
     """Control pulse designed to store a chosen Hermite-Gauss target (target_order, q, theta)."""
     target = hermite_gaussian(config.target_order, config.control_center, config.grid)
-    inputs = DesignInputs(
-        s_in=target, f_s=config.cavity.f_s, q=config.q, theta=config.theta
-    )
-    control = design_control(inputs)
+    control = design_control(target, config.cavity.f_s, config.q, config.theta)
     traj = simulate(config.cavity, control, target)
     trajectory_to_csv(traj, out / "trajectory.csv")
     signal_to_csv(control, out / "designed_control.csv")
@@ -266,7 +270,8 @@ def _run_green_kernel(config, out):
         ("index", "sigma", "efficiency"),
         (np.arange(len(sv)), sv, report.conversion_efficiencies),
     )
-    signal_to_csv(report.input_modes[0], out / "dominant_mode.csv")
+    dominant = TemporalSignal(config.grid, report.input_modes[0])
+    signal_to_csv(dominant, out / "dominant_mode.csv")
     eff = report.conversion_efficiencies
     contrast = float(eff[0] / eff[1]) if eff[1] > 0 else float("inf")
     return {

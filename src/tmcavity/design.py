@@ -20,8 +20,6 @@ handled separately by the explicit phase rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .cavity import CavityParams
@@ -37,32 +35,16 @@ PHASE_FLOOR_REL = 1e-12
 SUPPORT_FLOOR_REL = 0.05
 
 
-@dataclass(frozen=True)
-class DesignInputs:
-    """Target mode and scalars fixing one control design.
-
-    ``s_in`` must be unit norm on its grid. ``f_s`` is the conversion
-    exponent rate of the cavity the control will drive (``CavityParams.f_s``
-    computed from the same coupling strength used in the simulation).
-    ``q`` sets the arbitrary early-time shape of the control before the
-    target rises from zero; ``theta`` is the free global control phase.
-    The running integral of the target starts at the grid start.
-    """
-
-    s_in: TemporalSignal
-    f_s: float
-    q: float
-    theta: float = 0.0
-
-    def __post_init__(self):
-        if self.q <= 0:
-            raise InvalidRegularizationError(f"q must be > 0, got {self.q}")
-        if self.f_s <= 0:
-            raise ValueError(f"f_s must be > 0, got {self.f_s}")
-
-
-def design_control(inputs: DesignInputs) -> TemporalSignal:
+def design_control(
+    s_in: TemporalSignal, f_s: float, q: float, theta: float = 0.0
+) -> TemporalSignal:
     """Control envelope whose coupling history f_s |Omega|^2 is K(t) above.
+
+    ``s_in`` is the unit-norm target, whose running integral starts at its
+    grid start; ``f_s`` is ``CavityParams.f_s`` of the cavity to be driven
+    (``ValueError`` unless > 0). ``q`` > 0 sets the control's arbitrary
+    early shape before the target rises (:class:`InvalidRegularizationError`
+    otherwise), and ``theta`` is the free global control phase.
 
     The denominator of K starts at q and grows to q + 2 f_s for a unit-norm
     target, so K never blows up; where the target vanishes, so does the
@@ -71,13 +53,17 @@ def design_control(inputs: DesignInputs) -> TemporalSignal:
     and the simulation is meant to be driven with exactly this shape at the
     same coupling strength that produced f_s.
     """
-    s_vals = inputs.s_in.values
-    denominator = inputs.q + 2.0 * inputs.f_s * cumulative_integral(inputs.s_in)
+    if q <= 0:
+        raise InvalidRegularizationError(f"q must be > 0, got {q}")
+    if f_s <= 0:
+        raise ValueError(f"f_s must be > 0, got {f_s}")
+    s_vals = s_in.values
+    denominator = q + 2.0 * f_s * cumulative_integral(s_in)
     mag = np.sqrt(np.abs(s_vals) ** 2 / denominator)
     floor = PHASE_FLOOR_REL * float(np.abs(s_vals).max())
     phase = np.where(np.abs(s_vals) > floor, np.angle(s_vals), 0.0)
-    vals = np.exp(1j * inputs.theta) * np.exp(-1j * phase) * mag
-    return TemporalSignal(inputs.s_in.grid, vals)
+    vals = np.exp(1j * theta) * np.exp(-1j * phase) * mag
+    return TemporalSignal(s_in.grid, vals)
 
 
 def impedance_residual(

@@ -5,13 +5,13 @@ envelope: the conjugated control weighted by the exponential of the
 accumulated pulse area. Everything orthogonal to it passes through the
 cavity unconverted, so experiments need both that mode and families of
 modes orthogonal to it; this module builds them all on the shared grid.
+Single modes are :class:`TemporalSignal` objects; a family is a plain
+``(m, n_samples)`` complex array whose rows are samples on the grid.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .cavity import CavityParams
@@ -113,62 +113,24 @@ def optimal_input_mode(
     return TemporalSignal(control.grid, vals)
 
 
-@dataclass(frozen=True, eq=False)
-class ModeFamily:
-    """Ordered orthonormal set of modes on one grid, stored as one array.
-
-    ``values`` is a read-only ``(m, n_samples)`` complex array whose row k
-    is mode k. Construction checks the trapezoid-weighted Gram matrix
-    against the identity at a 1e-9 tolerance. Indexing and iteration
-    yield the rows as :class:`TemporalSignal` objects.
-    """
-
-    grid: TimeGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.array(self.values, dtype=complex, order="C")
-        if vals.ndim != 2 or not len(vals) or vals.shape[1] != self.grid.n_samples:
-            n = self.grid.n_samples
-            raise ValueError(f"expected a nonempty (m, {n}) array, got {vals.shape}")
-        # conj(V) * w is built in place, so the check adds one (m, n) array.
-        weighted = np.conj(vals)
-        weighted *= quadrature_weights(self.grid)
-        gram = weighted @ vals.T
-        del weighted
-        gram[np.diag_indices_from(gram)] -= 1.0
-        worst = float(np.abs(gram).max())
-        if not worst < ORTHONORMALITY_TOL:  # also rejects NaN
-            raise NonOrthonormalBasisError(
-                f"pairwise inner products deviate from identity by {worst:.3e}"
-            )
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __iter__(self):
-        return (TemporalSignal(self.grid, row) for row in self.values)
-
-    def __getitem__(self, idx: int) -> TemporalSignal:
-        return TemporalSignal(self.grid, self.values[idx])
-
-
-def gram_schmidt_family(seed: TemporalSignal, raw_basis: np.ndarray) -> ModeFamily:
+def gram_schmidt_family(seed: TemporalSignal, raw_basis: np.ndarray) -> np.ndarray:
     """Orthonormal family starting from ``seed``, by a weighted QR.
 
-    ``raw_basis`` is a ``(count, n_samples)`` array of raw vectors. Mode 0
-    is the seed itself (which must already be unit norm on its grid);
-    mode k + 1 is the part of raw vector k orthogonal to the seed and to
-    every earlier raw vector, normalized and phased so that its overlap
-    with raw vector k is real and positive. This is Gram-Schmidt computed
-    as one Householder QR of the quadrature-weighted vectors. A raw vector
-    whose post-projection norm (the R diagonal) falls below 1e-8 raises
-    :class:`DegenerateBasisError` naming its index.
+    ``raw_basis`` is a ``(count, n_samples)`` array of raw vectors; the
+    family is returned the same way, as a C-contiguous
+    ``(count + 1, n_samples)`` complex array whose row k is mode k on the
+    seed's grid. Mode 0 is the seed itself, which must be unit norm on its
+    grid to within :data:`ORTHONORMALITY_TOL`; mode k + 1 is the part of raw
+    vector k orthogonal to the seed and to every earlier raw vector,
+    normalized and phased so that its overlap with raw vector k is real and
+    positive. This is Gram-Schmidt computed as one Householder QR of the
+    quadrature-weighted vectors, so the rows are orthonormal by
+    construction. A raw vector whose post-projection norm (the R diagonal)
+    falls below 1e-8, or is NaN, raises :class:`DegenerateBasisError` naming
+    its index.
     """
     seed_err = abs(inner_product(seed, seed).real - 1.0)
-    if seed_err > 1e-8:
+    if not seed_err < ORTHONORMALITY_TOL:
         raise NonOrthonormalBasisError(
             f"seed must be unit norm (energy off by {seed_err:.3e}); "
             "normalize it first"
@@ -176,10 +138,11 @@ def gram_schmidt_family(seed: TemporalSignal, raw_basis: np.ndarray) -> ModeFami
     sqw = np.sqrt(quadrature_weights(seed.grid))
     q, r = np.linalg.qr((np.vstack((seed.values, raw_basis)) * sqw).T)
     # A reduced QR has min(n_samples, count + 1) columns; any raw vector
-    # beyond that is necessarily dependent and keeps a zero norm here.
+    # beyond that is necessarily dependent and keeps a zero norm here. A
+    # non-finite raw vector gets a NaN norm, which fails the test too.
     norms = np.zeros(len(raw_basis) + 1)
     norms[: len(r)] = np.abs(np.diagonal(r))
-    short = np.flatnonzero(norms[1:] < 1e-8)
+    short = np.flatnonzero(~(norms[1:] >= 1e-8))
     if short.size:
         raise DegenerateBasisError(
             f"raw vector {short[0]} is linearly dependent on the family "
@@ -188,7 +151,7 @@ def gram_schmidt_family(seed: TemporalSignal, raw_basis: np.ndarray) -> ModeFami
     q *= np.diagonal(r) / norms
     q /= sqw[:, None]
     q[:, 0] = seed.values
-    return ModeFamily(seed.grid, q.T)
+    return np.ascontiguousarray(q.T)
 
 
 def polynomial_raw_basis(seed: TemporalSignal, count: int, center: float) -> np.ndarray:

@@ -4,7 +4,7 @@ import pytest
 
 from tmcavity import (
     CavityParams,
-    DesignInputs,
+    TemporalSignal,
     TimeGrid,
     design_control,
     gaussian_control,
@@ -68,19 +68,18 @@ def family8(opt_seed):
 
 @pytest.fixture(scope="session")
 def traj_orth_mode1(bench_params, control, family8):
-    return simulate(bench_params, control, family8[1])
+    return simulate(bench_params, control, TemporalSignal(control.grid, family8[1]))
 
 
 @pytest.fixture(scope="session")
 def traj_orth_mode2(bench_params, control, family8):
-    return simulate(bench_params, control, family8[2])
+    return simulate(bench_params, control, TemporalSignal(control.grid, family8[2]))
 
 
 @pytest.fixture(scope="session")
 def designed_hg0(bench_params, grid10):
     target = hermite_gaussian(0, CONTROL_CENTER, grid10)
-    inputs = DesignInputs(s_in=target, f_s=bench_params.f_s, q=1e-7, theta=0.0)
-    ctl = design_control(inputs)
+    ctl = design_control(target, bench_params.f_s, 1e-7)
     traj = simulate(bench_params, ctl, target)
     return target, ctl, traj
 
@@ -88,8 +87,7 @@ def designed_hg0(bench_params, grid10):
 @pytest.fixture(scope="session")
 def designed_hg1(bench_params, grid10):
     target = hermite_gaussian(1, CONTROL_CENTER, grid10)
-    inputs = DesignInputs(s_in=target, f_s=bench_params.f_s, q=1e-7, theta=0.0)
-    ctl = design_control(inputs)
+    ctl = design_control(target, bench_params.f_s, 1e-7)
     traj = simulate(bench_params, ctl, target)
     return target, ctl, traj
 

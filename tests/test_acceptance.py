@@ -16,7 +16,6 @@ from tmcavity import (
     TimeGrid,
     conservation_residual,
     design_control,
-    DesignInputs,
     gaussian_control,
     hermite_gaussian,
     normalize,
@@ -137,7 +136,8 @@ def test_criterion_6_closed_form_selectivity(
     lossless_params, control, family8, kernel_report_analytic
 ):
     worst_amp = 0.0
-    for mode in list(family8)[1:6]:
+    for row in family8[1:6]:
+        mode = TemporalSignal(control.grid, row)
         c_end = simulate(lossless_params, control, mode, "analytic").C.values[-1]
         worst_amp = max(worst_amp, abs(c_end))
     sv = kernel_report_analytic.singular_values
@@ -259,17 +259,13 @@ def test_criterion_11_design_self_consistency(bench_params, grid10, designed_hg0
     # the design the pre-onset lead time its start-time contract asks for
     wide = TimeGrid(-1.0, 10.0, 11001)
     target1 = hermite_gaussian(1, 3.0, wide)
-    control1 = design_control(
-        DesignInputs(s_in=target1, f_s=bench_params.f_s, q=1e-7)
-    )
+    control1 = design_control(target1, bench_params.f_s, 1e-7)
     res1 = impedance_residual(control1, target1, bench_params)
 
     target = designed_hg0[0]
     w_by_q = []
     for q in (1e-6, 1e-7, 1e-8):
-        ctl = design_control(
-            DesignInputs(s_in=target, f_s=bench_params.f_s, q=q, theta=0.0)
-        )
+        ctl = design_control(target, bench_params.f_s, q, 0.0)
         traj = simulate(bench_params, ctl, target)
         w_by_q.append(unconverted_energy(traj).value)
     spread = max(w_by_q) - min(w_by_q)

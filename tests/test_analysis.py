@@ -1,5 +1,6 @@
 """Diagnostics, kernel decomposition, coupling sweep, and unit conversion."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -11,7 +12,7 @@ from tmcavity import (
     CavityParams,
     GridMismatchError,
     InstabilityError,
-    ModeFamily,
+    NonOrthonormalBasisError,
     TemporalSignal,
     TimeGrid,
     UndefinedResidualError,
@@ -115,9 +116,7 @@ class TestGreenKernel:
         grid = TimeGrid(-6.0, 16.0, 8001)
         control = gaussian_control(3.0, grid)
         par = CavityParams(gamma_s=10.1, gamma_c=0.0, alpha=5.5)
-        basis = ModeFamily(
-            grid, np.array([hermite_gaussian(n, 5.0, grid).values for n in range(8)])
-        )
+        basis = np.array([hermite_gaussian(n, 5.0, grid).values for n in range(8)])
         report = green_kernel(par, control, basis, model="analytic")
         sv = report.singular_values
         assert sv[1] / sv[0] < 1e-6
@@ -156,17 +155,17 @@ class TestGreenKernel:
         assert report.schmidt_number == 1.0
 
     def test_report_reassembles_the_response_matrix(
-        self, kernel_report_full, family8
+        self, kernel_report_full, grid10, family8
     ):
         report = kernel_report_full
         matrix = report.response_matrix
         # recover the right-singular coefficient vectors from the mapped-back
         # signals, then rebuild the kernel from its singular triples
+        bases = [TemporalSignal(grid10, row) for row in family8]
         rebuilt = np.zeros_like(matrix)
-        for k in range(len(family8)):
-            coeffs = np.array(
-                [inner_product(base, report.input_modes[k]) for base in family8]
-            )
+        for row in report.input_modes:
+            mode = TemporalSignal(grid10, row)
+            coeffs = np.array([inner_product(base, mode) for base in bases])
             response = matrix @ coeffs
             rebuilt += np.outer(response, np.conj(coeffs))
         rel = np.linalg.norm(rebuilt - matrix) / np.linalg.norm(matrix)
@@ -175,27 +174,52 @@ class TestGreenKernel:
     def test_dominant_mode_recovers_the_matched_input(
         self, kernel_report_analytic, opt_mode
     ):
-        dominant = kernel_report_analytic.input_modes[0]
+        dominant = TemporalSignal(opt_mode.grid, kernel_report_analytic.input_modes[0])
         fidelity = abs(inner_product(dominant, normalize(opt_mode))) ** 2
         assert fidelity > 0.999
 
     def test_small_basis_rejected(self, bench_params, control, opt_seed):
         with pytest.raises(ValueError):
             green_kernel(
-                bench_params,
-                control,
-                ModeFamily(opt_seed.grid, np.array([opt_seed.values])),
-                model="full",
+                bench_params, control, np.array([opt_seed.values]), model="full"
             )
 
+    def test_one_dimensional_basis_is_rejected(self, bench_params, control, opt_seed):
+        with pytest.raises(GridMismatchError):
+            green_kernel(bench_params, control, opt_seed.values)
+
+    def test_non_orthonormal_basis_is_rejected(self, bench_params, control, opt_seed):
+        duplicated = np.array([opt_seed.values, opt_seed.values])
+        with pytest.raises(NonOrthonormalBasisError):
+            green_kernel(bench_params, control, duplicated)
+
+    def test_non_finite_basis_is_rejected(self, bench_params, control, family8):
+        basis = family8[:2].copy()
+        basis[0, 5] = np.nan
+        with pytest.raises(NonOrthonormalBasisError):
+            green_kernel(bench_params, control, basis)
+
+    def test_memory_order_of_the_basis_is_invisible(self):
+        grid = TimeGrid(0.0, 10.0, 2001)
+        params = CavityParams(**BENCH)
+        control = gaussian_control(3.0, grid)
+        basis = _random_family(grid, 5, 0)
+        assert basis.flags.f_contiguous and not basis.flags.c_contiguous
+        got = green_kernel(params, control, basis)
+        want = green_kernel(params, control, np.ascontiguousarray(basis))
+        for field in dataclasses.fields(got):
+            assert np.array_equal(getattr(got, field.name), getattr(want, field.name))
+
     @pytest.mark.parametrize("model", ["exact", "Full"])
-    def test_unknown_model_rejected(self, bench_params, control, family8, model):
+    def test_unknown_model_rejected(
+        self, bench_params, control, opt_seed, family8, model
+    ):
         # one check on the path every model name takes
         scan = dict(gamma_s=10.1, gamma_c=0.01, control=control, model=model)
         with pytest.raises(ValueError, match="model must be one of"):
             green_kernel(bench_params, control, family8, model=model)
         with pytest.raises(ValueError, match="model must be one of"):
-            simulate(bench_params, control, family8[0], model)
+            simulate(bench_params, control, opt_seed, model)
         with pytest.raises(ValueError, match="model must be one of"):
             scan_alpha([1.0, 2.0, 3.0], **scan)
 
@@ -204,11 +228,15 @@ class TestGreenKernel:
         "basis_grid", [TimeGrid(0.0, 12.0, 2001), TimeGrid(0.0, 10.0, 1001)]
     )
     def test_basis_on_another_grid_is_rejected(self, model, basis_grid):
+        # A basis array carries no grid. Another sample count is the wrong
+        # shape; another dt on 2001 samples scales every energy by 10/12 on
+        # the control's grid, which the orthonormality check sees.
+        error = {1001: GridMismatchError, 2001: NonOrthonormalBasisError}
         params = CavityParams(**BENCH)
         control = gaussian_control(3.0, TimeGrid(0.0, 10.0, 2001))
         seed = normalize(optimal_input_mode(params, gaussian_control(3.0, basis_grid)))
         basis = gram_schmidt_family(seed, polynomial_raw_basis(seed, 3, 3.0))
-        with pytest.raises(GridMismatchError, match="different grids"):
+        with pytest.raises(error[basis_grid.n_samples]):
             green_kernel(params, control, basis, model=model)
 
 
@@ -225,7 +253,7 @@ def _random_family(grid, m, seed):
         (grid.n_samples, m)
     )
     q = np.linalg.qr(raw)[0]
-    return ModeFamily(grid, q.T / np.sqrt(quadrature_weights(grid)))
+    return q.T / np.sqrt(quadrature_weights(grid))
 
 
 REFERENCES = {"full": reference_full, "reduced": reference_reduced}
@@ -233,8 +261,10 @@ REFERENCES = {"full": reference_full, "reduced": reference_reduced}
 
 def _earliest_unbounded_sample(model, params, control, basis):
     named = (
-        first_unbounded_sample(REFERENCES[model], params, control, mode)
-        for mode in basis
+        first_unbounded_sample(
+            REFERENCES[model], params, control, TemporalSignal(control.grid, row)
+        )
+        for row in basis
     )
     return min((k for k in named if k is not None), default=None)
 
@@ -278,10 +308,12 @@ class TestBatchedKernelMatchesSingleRuns:
         # that fails earliest, at the sample where the loop outgrows its drive.
         # The closed form leaks nothing: its column is C(end) over zeros.
         params, control, basis = inputs
-        sqw = np.sqrt(quadrature_weights(basis.grid))
-        expected = np.zeros((basis.grid.n_samples + 1, len(basis)), complex)
+        grid = control.grid
+        sqw = np.sqrt(quadrature_weights(grid))
+        expected = np.zeros((grid.n_samples + 1, len(basis)), complex)
         failures = []
-        for j, mode in enumerate(basis):
+        for j, row in enumerate(basis):
+            mode = TemporalSignal(grid, row)
             try:
                 traj = simulate(params, control, mode, model)
             except InstabilityError as exc:

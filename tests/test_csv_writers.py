@@ -58,7 +58,7 @@ def test_signal_to_csv_bytes(grid, tmp_path):
 def test_trajectory_to_csv_bytes(grid, tmp_path):
     rng = np.random.default_rng(2)
     s, c, s_out, c_out, s_in, control = (signal(grid, rng) for _ in range(6))
-    traj = CavityTrajectory(grid, s, c, s_out, c_out, s_in, control)
+    traj = CavityTrajectory(grid, s, c, s_out, c_out, s_in, control, "full")
     trajectory_to_csv(traj, tmp_path / "new.csv")
     header = "t,S_re,S_im,C_re,C_im,Sout_re,Sout_im,Cout_re,Cout_im,control_abs"
     reference_csv(

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from tmcavity import (
     CavityParams,
-    DesignInputs,
     InvalidRegularizationError,
     TemporalSignal,
     TimeGrid,
@@ -25,13 +24,10 @@ from tmcavity import (
 Q_DEFAULT = 1e-7
 
 
-def make_inputs(target, params, q=Q_DEFAULT, theta=0.0):
-    return DesignInputs(s_in=target, f_s=params.f_s, q=q, theta=theta)
-
-
-def designed_coupling(inputs):
-    """K(t) = f_s |Omega|^2 of the designed control."""
-    return inputs.f_s * np.abs(design_control(inputs).values) ** 2
+def designed_coupling(target, params):
+    """K(t) = f_s |Omega|^2 of the control designed for ``target``."""
+    control = design_control(target, params.f_s, Q_DEFAULT)
+    return params.f_s * np.abs(control.values) ** 2
 
 
 class TestDesignCoupling:
@@ -39,15 +35,14 @@ class TestDesignCoupling:
         self, bench_params, grid10
     ):
         target = hermite_gaussian(0, 3.0, grid10)
-        inputs = make_inputs(target, bench_params)
-        k = designed_coupling(inputs)
+        k = designed_coupling(target, bench_params)
         assert np.all(np.isfinite(k))
         assert np.all(k >= 0.0)
         # unit-norm target drives the running integral to exactly 1, so the
         # denominator saturates at q + 2 f_s
         fs = bench_params.f_s
-        denom_end = inputs.q + 2.0 * fs * cumulative_integral(target)[-1]
-        assert denom_end == pytest.approx(inputs.q + 2.0 * fs, abs=1e-8)
+        denom_end = Q_DEFAULT + 2.0 * fs * cumulative_integral(target)[-1]
+        assert denom_end == pytest.approx(Q_DEFAULT + 2.0 * fs, abs=1e-8)
         k_end_expected = fs * abs(target.values[-1]) ** 2 / denom_end
         assert k[-1] == pytest.approx(k_end_expected, rel=1e-12)
 
@@ -59,7 +54,7 @@ class TestDesignCoupling:
         target = TemporalSignal(
             grid10, target.values / np.sqrt(inner_product(target, target).real)
         )
-        k = designed_coupling(make_inputs(target, bench_params))
+        k = designed_coupling(target, bench_params)
         assert np.all(k[grid10.times < 2.0] == 0.0)
 
     def test_design_equation_residual_is_small(self, bench_params, designed_hg0):
@@ -69,9 +64,15 @@ class TestDesignCoupling:
     def test_rejects_nonpositive_regularization(self, bench_params, grid10):
         target = hermite_gaussian(0, 3.0, grid10)
         with pytest.raises(InvalidRegularizationError):
-            make_inputs(target, bench_params, q=0.0)
+            design_control(target, bench_params.f_s, 0.0)
         with pytest.raises(InvalidRegularizationError):
-            make_inputs(target, bench_params, q=-1e-7)
+            design_control(target, bench_params.f_s, -1e-7)
+
+    @pytest.mark.parametrize("f_s", [0.0, -1.0])
+    def test_rejects_nonpositive_conversion_rate(self, grid10, f_s):
+        target = hermite_gaussian(0, 3.0, grid10)
+        with pytest.raises(ValueError, match="f_s must be > 0"):
+            design_control(target, f_s, Q_DEFAULT)
 
 
 class TestDesignControl:
@@ -96,12 +97,12 @@ class TestDesignControl:
     ):
         # K = f_s |S_in|^2 / (q + 2 f_s Integral |S_in|^2), the design law
         target = hermite_gaussian(order, 3.0, grid10)
-        inputs = make_inputs(target, bench_params, theta=0.4)
         fs = bench_params.f_s
         k = fs * np.abs(target.values) ** 2 / (
-            inputs.q + 2.0 * fs * cumulative_integral(target)
+            Q_DEFAULT + 2.0 * fs * cumulative_integral(target)
         )
-        lhs = np.abs(design_control(inputs).values) ** 2 * fs
+        control = design_control(target, fs, Q_DEFAULT, theta=0.4)
+        lhs = np.abs(control.values) ** 2 * fs
         assert np.abs(lhs - k).max() < 1e-10
 
 
@@ -112,9 +113,7 @@ class TestImpedanceResidual:
         # the evaluated support
         grid = TimeGrid(-1.0, 10.0, 11001)
         target = hermite_gaussian(1, 3.0, grid)
-        control = design_control(
-            DesignInputs(s_in=target, f_s=bench_params.f_s, q=Q_DEFAULT)
-        )
+        control = design_control(target, bench_params.f_s, Q_DEFAULT)
         assert impedance_residual(control, target, bench_params) < 1e-3
 
     def test_plain_gaussian_pairing_is_badly_matched(self, bench_params, control):
@@ -140,7 +139,7 @@ class TestDesignInvariants:
         target = hermite_gaussian(0, 3.0, grid10)
         w_values = []
         for q in (1e-6, 1e-7, 1e-8):
-            control = design_control(make_inputs(target, bench_params, q=q))
+            control = design_control(target, bench_params.f_s, q)
             traj = simulate(bench_params, control, target)
             w_values.append(unconverted_energy(traj).value)
         assert max(w_values) - min(w_values) < 0.003
@@ -155,8 +154,8 @@ class TestDesignInvariants:
         # exp(i theta) on the control moves only the converted band's phase
         params = CavityParams(gamma_s=10.1, gamma_c=0.01, alpha=alpha)
         target = hermite_gaussian(order, 5.0, grid10)
-        plain = design_control(make_inputs(target, params))
-        turned = design_control(make_inputs(target, params, theta=theta))
+        plain = design_control(target, params.f_s, Q_DEFAULT)
+        turned = design_control(target, params.f_s, Q_DEFAULT, theta)
         phase = np.exp(1j * theta)
 
         def close(a, b):

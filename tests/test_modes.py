@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from tmcavity import (
     CavityParams,
     DegenerateBasisError,
-    ModeFamily,
     NonOrthonormalBasisError,
     TemporalSignal,
     TimeGrid,
@@ -116,11 +115,12 @@ class TestOptimalInputMode:
 
 class TestGramSchmidtFamily:
     def test_mode_zero_is_the_seed(self, opt_seed, family8):
-        assert np.array_equal(family8.values[0], opt_seed.values)
+        assert np.array_equal(family8[0], opt_seed.values)
 
-    def test_pairwise_orthonormality(self, family8):
-        for i, a in enumerate(family8):
-            for j, b in enumerate(family8):
+    def test_pairwise_orthonormality(self, grid10, family8):
+        modes = [TemporalSignal(grid10, row) for row in family8]
+        for i, a in enumerate(modes):
+            for j, b in enumerate(modes):
                 target = 1.0 if i == j else 0.0
                 assert abs(inner_product(a, b) - target) < 1e-9
 
@@ -135,15 +135,17 @@ class TestGramSchmidtFamily:
         for row in raw:
             vec = normalize(TemporalSignal(opt_seed.grid, row))
             residual = vec.values.copy()
-            for mode in family8:
-                residual -= inner_product(mode, vec) * mode.values
+            for row in family8:
+                mode = TemporalSignal(opt_seed.grid, row)
+                residual -= inner_product(mode, vec) * row
             res_sig = TemporalSignal(opt_seed.grid, residual)
             assert math.sqrt(inner_product(res_sig, res_sig).real) < 1e-8
 
     def test_exact_null_in_closed_form_for_every_member(
         self, lossless_params, control, family8
     ):
-        for mode in list(family8)[1:]:
+        for row in family8[1:]:
+            mode = TemporalSignal(control.grid, row)
             c_end = simulate(lossless_params, control, mode, "analytic").C.values[-1]
             assert abs(c_end) < 1e-7
 
@@ -151,6 +153,14 @@ class TestGramSchmidtFamily:
         raw = polynomial_raw_basis(opt_seed, 1, 3.0)
         with pytest.raises(DegenerateBasisError, match="vector 1"):
             gram_schmidt_family(opt_seed, np.array([raw[0], opt_seed.values]))
+
+    def test_non_finite_raw_vector_is_named(self, opt_seed):
+        # the family is not checked again after the QR, so a NaN row must
+        # not come back as a mode
+        raw = polynomial_raw_basis(opt_seed, 3, 3.0)
+        raw[1, 7] = np.nan
+        with pytest.raises(DegenerateBasisError, match="raw vector 1 "):
+            gram_schmidt_family(opt_seed, raw)
 
     def test_more_raw_vectors_than_samples_is_degenerate(self):
         grid = TimeGrid(0.0, 10.0, 9)
@@ -168,6 +178,11 @@ class TestGramSchmidtFamily:
         bad_seed = TemporalSignal(opt_seed.grid, 1.5 * opt_seed.values)
         with pytest.raises(NonOrthonormalBasisError):
             gram_schmidt_family(bad_seed, polynomial_raw_basis(bad_seed, 1, 3.0))
+        # energy off by 2e-9, past the orthonormality tolerance: the seed
+        # check is the family's only one, so it must name the fault
+        near = TemporalSignal(opt_seed.grid, math.sqrt(1.0 + 2e-9) * opt_seed.values)
+        with pytest.raises(NonOrthonormalBasisError, match="seed must be unit norm"):
+            gram_schmidt_family(near, polynomial_raw_basis(near, 1, 3.0))
 
 
 SMALL_GRID = TimeGrid(0.0, 10.0, 2001)
@@ -194,16 +209,16 @@ class TestGramSchmidtProperties:
     @given(family_inputs)
     def test_family_is_orthonormal_and_spans_the_raw_vectors(self, inputs):
         seed, raw = _seed_and_raw(*inputs)
-        family = gram_schmidt_family(seed, raw)
-        vals = family.values
+        vals = gram_schmidt_family(seed, raw)
         assert vals.shape == (len(raw) + 1, SMALL_GRID.n_samples)
+        assert vals.flags.c_contiguous
         w = quadrature_weights(SMALL_GRID)
         gram = np.conj(vals) @ (w * vals).T
         assert np.abs(gram - np.eye(len(vals))).max() < 1e-9
         assert np.array_equal(vals[0], seed.values)
         for k, row in enumerate(raw, start=1):
             vec = TemporalSignal(SMALL_GRID, row)
-            overlap = inner_product(family[k], vec)
+            overlap = inner_product(TemporalSignal(SMALL_GRID, vals[k]), vec)
             assert overlap.real > 0.0
             assert abs(overlap.imag) <= 1e-10 * abs(overlap)
             coeffs = np.conj(vals[: k + 1]) @ (w * row)
@@ -222,15 +237,3 @@ class TestGramSchmidtProperties:
         raw = np.insert(raw, at, raw[source], axis=0)
         with pytest.raises(DegenerateBasisError, match=rf"raw vector {at} is"):
             gram_schmidt_family(seed, raw)
-
-
-class TestModeFamilyValidation:
-    def test_non_orthonormal_set_is_rejected(self, opt_seed):
-        with pytest.raises(NonOrthonormalBasisError):
-            ModeFamily(opt_seed.grid, np.array([opt_seed.values, opt_seed.values]))
-
-    def test_non_finite_values_are_rejected(self, opt_seed):
-        vals = np.array([opt_seed.values])
-        vals[0, 5] = np.nan
-        with pytest.raises(NonOrthonormalBasisError):
-            ModeFamily(opt_seed.grid, vals)
