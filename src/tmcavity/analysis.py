@@ -62,7 +62,7 @@ def unconverted_energy(traj: CavityTrajectory) -> UnconvertedEnergy:
     )
 
 
-def conservation_residual(traj: CavityTrajectory, params: CavityParams) -> float:
+def conservation_residual(traj: CavityTrajectory) -> float:
     """Relative photon-number imbalance of a trajectory.
 
     With no internal loss the input energy must equal the energy still in
@@ -139,10 +139,10 @@ def green_kernel(
     if len(basis) < 2:
         raise ValueError("basis must contain at least 2 modes")
     # conj(basis) * w is built in place, so the check adds one (m, n) array.
-    weighted = np.conj(basis)
-    weighted *= quadrature_weights(grid)
-    gram = weighted @ basis.T
-    del weighted
+    with np.errstate(over="ignore", invalid="ignore"):  # bad rows fail the check
+        gram = np.conj(basis)
+        gram *= quadrature_weights(grid)
+        gram = gram @ basis.T
     gram[np.diag_indices_from(gram)] -= 1.0
     worst = float(np.abs(gram).max())
     if not worst < ORTHONORMALITY_TOL:  # also rejects NaN

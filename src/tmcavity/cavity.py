@@ -101,20 +101,30 @@ class CavityParams:
 class CavityTrajectory:
     """Time series of a single simulation run.
 
-    Holds the intracavity amplitudes, both output fields, echoes of the
-    drive signals, and the name of the model that ran (see :data:`MODELS`).
-    The output fields satisfy the input-output relations of that model
-    pointwise by construction.
+    Holds only independent data: the intracavity amplitudes, echoes of the
+    drive signals, and the parameters and name of the model that ran (see
+    :data:`MODELS`). The output fields are computed from these on access,
+    by the input-output relations of that model, so they hold pointwise.
     """
 
     grid: TimeGrid
     S: TemporalSignal
     C: TemporalSignal
-    S_out: TemporalSignal
-    C_out: TemporalSignal
     S_in: TemporalSignal
     control: TemporalSignal
+    params: CavityParams
     model: str
+
+    @property
+    def S_out(self) -> TemporalSignal:
+        """Reflected signal field, -S_in + sqrt(2 gamma_s) S."""
+        s_out = -self.S_in.values + np.sqrt(2.0 * self.params.gamma_s) * self.S.values
+        return TemporalSignal(self.grid, s_out)
+
+    @property
+    def C_out(self) -> TemporalSignal:
+        """Leaked converted field, sqrt(2 gamma_c) C, or 0 for the closed form."""
+        return TemporalSignal(self.grid, _leak(self.params, self.model) * self.C.values)
 
 
 def _full_rhs(params):
@@ -309,8 +319,8 @@ def simulate(
                 * np.conj(control.values) * c_arr
                 + np.sqrt(2.0 * params.gamma_s) / params.gamma_tilde_s * s_in.values
             )
-        s_out = -s_in.values + np.sqrt(2.0 * params.gamma_s) * s_arr
-        c_out = _leak(params, model) * c_arr
+        s_out = -s_in.values + np.sqrt(2.0 * params.gamma_s) * s_arr  # = traj.S_out
+        c_out = _leak(params, model) * c_arr  # = traj.C_out
     finite = np.isfinite((s_arr, s_out, c_out))
     k = int(np.argmin(finite.all(axis=0)))
     if not finite[:, k].all():
@@ -320,23 +330,15 @@ def simulate(
         grid=grid,
         S=TemporalSignal(grid, s_arr),
         C=TemporalSignal(grid, c_arr),
-        S_out=TemporalSignal(grid, s_out),
-        C_out=TemporalSignal(grid, c_out),
         S_in=s_in,
         control=control,
+        params=params,
         model=model,
     )
 
 
 def trajectory_to_csv(traj: CavityTrajectory, path) -> None:
-    """Write a trajectory as one CSV row per sample at full precision."""
-    header = ["t"]
-    columns = [traj.grid.times]
-    for name, sig in zip(
-        ("S", "C", "Sout", "Cout"), (traj.S, traj.C, traj.S_out, traj.C_out)
-    ):
-        header += [f"{name}_re", f"{name}_im"]
-        columns += [sig.values.real, sig.values.imag]
-    header.append("control_abs")
-    columns.append(np.abs(traj.control.values))
-    _write_csv(path, header, columns)
+    """Write a trajectory's state as one CSV row per sample at full precision."""
+    s, c, a = traj.S.values, traj.C.values, np.abs(traj.control.values)
+    header = ("t", "S_re", "S_im", "C_re", "C_im", "control_abs")
+    _write_csv(path, header, (traj.grid.times, s.real, s.imag, c.real, c.imag, a))

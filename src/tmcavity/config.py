@@ -148,7 +148,7 @@ class ExperimentConfig:
         }
 
 
-def _trajectory_results(traj, params) -> dict:
+def _trajectory_results(traj) -> dict:
     wout = unconverted_energy(traj)
     abs_c = np.abs(traj.C.values)
     k_peak = int(abs_c.argmax())
@@ -162,7 +162,7 @@ def _trajectory_results(traj, params) -> dict:
         "peak_minus_ic_re": float(minus_ic.real),
         "peak_minus_ic_im": float(minus_ic.imag),
         "final_abs_C_sq": float(abs(traj.C.values[-1]) ** 2),
-        "conservation_residual": float(conservation_residual(traj, params)),
+        "conservation_residual": float(conservation_residual(traj)),
     }
 
 
@@ -178,7 +178,7 @@ def _run_fig2_gaussian(config, out):
     control = gaussian_control(config.control_center, config.grid)
     traj = simulate(config.cavity, control, control)
     trajectory_to_csv(traj, out / "trajectory.csv")
-    return _trajectory_results(traj, config.cavity)
+    return _trajectory_results(traj)
 
 
 def _run_fig2_optimal(config, out):
@@ -188,7 +188,7 @@ def _run_fig2_optimal(config, out):
     traj = simulate(config.cavity, control, mode)
     trajectory_to_csv(traj, out / "trajectory.csv")
     signal_to_csv(mode, out / "input_mode.csv")
-    return _trajectory_results(traj, config.cavity)
+    return _trajectory_results(traj)
 
 
 def _run_fig3(config, out):
@@ -198,7 +198,7 @@ def _run_fig3(config, out):
     traj = simulate(config.cavity, control, mode)
     trajectory_to_csv(traj, out / "trajectory.csv")
     signal_to_csv(mode, out / "input_mode.csv")
-    results = _trajectory_results(traj, config.cavity)
+    results = _trajectory_results(traj)
     results["mode_index"] = config.mode_index
     results["minus_ic_min_re"] = float((-1j * traj.C.values).real.min())
     return results
@@ -212,7 +212,7 @@ def _run_fig4(config, out):
     trajectory_to_csv(traj, out / "trajectory.csv")
     signal_to_csv(control, out / "designed_control.csv")
     signal_to_csv(target, out / "target_mode.csv")
-    results = _trajectory_results(traj, config.cavity)
+    results = _trajectory_results(traj)
     results.update(
         {
             "target_order": config.target_order,

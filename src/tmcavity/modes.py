@@ -136,7 +136,8 @@ def gram_schmidt_family(seed: TemporalSignal, raw_basis: np.ndarray) -> np.ndarr
             "normalize it first"
         )
     sqw = np.sqrt(quadrature_weights(seed.grid))
-    q, r = np.linalg.qr((np.vstack((seed.values, raw_basis)) * sqw).T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        q, r = np.linalg.qr((np.vstack((seed.values, raw_basis)) * sqw).T)
     # A reduced QR has min(n_samples, count + 1) columns; any raw vector
     # beyond that is necessarily dependent and keeps a zero norm here. A
     # non-finite raw vector gets a NaN norm, which fails the test too.

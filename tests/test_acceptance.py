@@ -172,7 +172,7 @@ def test_criterion_8_conservation_suite(bench_params, grid10, control):
         vals = sum(c * h.values for c, h in zip(coeffs, hg_pool))
         sig = normalize(TemporalSignal(grid10, vals))
         traj = simulate(bench_params, control, sig)
-        worst_balance = max(worst_balance, conservation_residual(traj, bench_params))
+        worst_balance = max(worst_balance, conservation_residual(traj))
 
     s1, s2 = hg_pool[0], hg_pool[3]
     a, b = 0.6 - 0.3j, -0.2 + 0.9j

@@ -76,20 +76,20 @@ class TestUnconvertedEnergy:
 
 
 class TestConservationResidual:
-    def test_lossless_balance_closes(self, traj_optimal_input, bench_params):
-        assert conservation_residual(traj_optimal_input, bench_params) < 1e-5
+    def test_lossless_balance_closes(self, traj_optimal_input):
+        assert conservation_residual(traj_optimal_input) < 1e-5
 
     def test_internal_loss_breaks_the_balance(self, grid10):
         par = CavityParams(**BENCH, kappa_s=1.0)
         control = gaussian_control(3.0, grid10)
         traj = simulate(par, control, control)
-        assert conservation_residual(traj, par) > 0.01
+        assert conservation_residual(traj) > 0.01
 
     def test_zero_input_is_undefined(self, bench_params, grid10, control):
         zero = TemporalSignal(grid10, np.zeros(grid10.n_samples))
         traj = simulate(bench_params, control, zero)
         with pytest.raises(UndefinedResidualError):
-            conservation_residual(traj, bench_params)
+            conservation_residual(traj)
 
 
 class TestGreenKernel:

@@ -4,9 +4,10 @@ import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 
-from tmcavity import ConfigError, load_config
+from tmcavity import ConfigError, TimeGrid, load_config, quadrature_weights
 from tmcavity.cli import _paper_scenario_configs, main, run, seed_figures
 from tmcavity.config import SCENARIOS, ExperimentConfig, dump_config
 
@@ -338,6 +339,41 @@ class TestScenarioRuns:
         traj_a = (tmp_path / "a" / "trajectory.csv").read_bytes()
         traj_b = (tmp_path / "b" / "trajectory.csv").read_bytes()
         assert traj_a == traj_b
+
+    @pytest.mark.parametrize(
+        "stem, s_in_csv",
+        [
+            ("fig2-gaussian", None),
+            ("fig2-optimal", "input_mode.csv"),
+            ("fig3-mode1", "input_mode.csv"),
+            ("fig4-hg0", "target_mode.csv"),
+        ],
+    )
+    def test_w_out_rebuilds_from_the_written_state(self, tmp_path, stem, s_in_csv):
+        # trajectory.csv holds only the state. S_out = -S_in + sqrt(2 gamma_s) S
+        # follows from it and the scenario's input CSV; fig2-gaussian's input
+        # is its own real, positive control, written as control_abs
+        seed_figures(tmp_path / "cfg")
+        cfg, out = tmp_path / "cfg" / f"{stem}.ini", tmp_path / "out"
+        args = ["--config", str(cfg), "--out", str(out), "--grid-samples", "2001"]
+        assert main(["run", *args]) == 0
+        summary = load_summary(out)
+        header = (out / "trajectory.csv").read_text().split("\n", 1)[0]
+        assert header == "t,S_re,S_im,C_re,C_im,control_abs"
+        t, s_re, s_im, _, _, control_abs = np.loadtxt(
+            out / "trajectory.csv", delimiter=",", skiprows=1, unpack=True
+        )
+        if s_in_csv is None:
+            s_in = control_abs
+        else:
+            _, re, im = np.loadtxt(out / s_in_csv, delimiter=",", skiprows=1, unpack=True)
+            s_in = re + 1j * im
+        gamma_s = summary["config"]["cavity"]["gamma_s"]
+        s_out = -s_in + np.sqrt(2.0 * gamma_s) * (s_re + 1j * s_im)
+        w = quadrature_weights(TimeGrid(**summary["config"]["grid"]))
+        assert len(t) == len(w) == 2001
+        w_out = float((w * np.abs(s_out) ** 2).sum())
+        assert w_out == pytest.approx(summary["results"]["w_out"], rel=1e-12, abs=0)
 
     def test_timestamp_is_confined_to_metadata(self, tmp_path):
         cfg = load_config(write_config(tmp_path, GOOD_CONFIG))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tmcavity import (
+    CavityParams,
     CavityTrajectory,
     TemporalSignal,
     TimeGrid,
@@ -57,18 +58,18 @@ def test_signal_to_csv_bytes(grid, tmp_path):
 
 def test_trajectory_to_csv_bytes(grid, tmp_path):
     rng = np.random.default_rng(2)
-    s, c, s_out, c_out, s_in, control = (signal(grid, rng) for _ in range(6))
-    traj = CavityTrajectory(grid, s, c, s_out, c_out, s_in, control, "full")
+    s, c, s_in, control = (signal(grid, rng) for _ in range(4))
+    params = CavityParams(gamma_s=1.0, gamma_c=1.0, alpha=1.0)
+    traj = CavityTrajectory(grid, s, c, s_in, control, params, "full")
     trajectory_to_csv(traj, tmp_path / "new.csv")
-    header = "t,S_re,S_im,C_re,C_im,Sout_re,Sout_im,Cout_re,Cout_im,control_abs"
+    header = "t,S_re,S_im,C_re,C_im,control_abs"
     reference_csv(
         tmp_path / "ref.csv",
         header.split(","),
         (
             [t, *complex_parts(vals), ctrl_abs]
             for t, *vals, ctrl_abs in zip(
-                grid.times, s.values, c.values, s_out.values, c_out.values,
-                np.abs(control.values),
+                grid.times, s.values, c.values, np.abs(control.values),
             )
         ),
     )

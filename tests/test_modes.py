@@ -17,6 +17,7 @@ from tmcavity import (
     WindowClippingError,
     gaussian_control,
     gram_schmidt_family,
+    green_kernel,
     hermite_gaussian,
     inner_product,
     normalize,
@@ -183,6 +184,29 @@ class TestGramSchmidtFamily:
         near = TemporalSignal(opt_seed.grid, math.sqrt(1.0 + 2e-9) * opt_seed.values)
         with pytest.raises(NonOrthonormalBasisError, match="seed must be unit norm"):
             gram_schmidt_family(near, polynomial_raw_basis(near, 1, 3.0))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "checked, bad, error",
+        [
+            ("basis", np.inf, NonOrthonormalBasisError),
+            ("basis", 1e200, NonOrthonormalBasisError),
+            ("raw", np.inf, DegenerateBasisError),
+        ],
+        ids=["basis-inf", "basis-1e200", "raw-inf"],
+    )
+    def test_huge_or_infinite_row_raises_the_package_error(self, checked, bad, error):
+        # the weighting must not raise a numpy RuntimeWarning before the check
+        grid = TimeGrid(0.0, 10.0, 11)
+        seed = normalize(TemporalSignal(grid, np.exp(-((grid.times - 5.0) ** 2))))
+        row = np.zeros(grid.n_samples)
+        row[5] = bad
+        with pytest.raises(error):
+            if checked == "basis":
+                params = CavityParams(gamma_s=10.1, gamma_c=0.01, alpha=5.5)
+                green_kernel(params, seed, np.array([seed.values, row]))
+            else:
+                gram_schmidt_family(seed, row[None])
 
 
 SMALL_GRID = TimeGrid(0.0, 10.0, 2001)
