@@ -126,9 +126,11 @@ def green_kernel(
     shape raises :class:`GridMismatchError`. Rows carry no grid: rows from
     a shifted window with the same dt and sample count read as samples on
     the control's grid, and a different dt fails the orthonormality check.
-    All modes run in one batched pass. The dominant right singular vector
-    is the best-converting input within the basis span. The closed form
-    drops the slow decay, so nothing leaks and its kernel is exactly rank 1.
+    All modes run in one batched pass. The SVD is taken of the kernel's
+    ``(m, m)`` QR factor R, which has the kernel's singular values and right
+    vectors. The dominant right singular vector is the best-converting input
+    within the basis span. The closed form drops the slow decay, so nothing
+    leaks and its kernel is exactly rank 1.
     """
     grid = control.grid
     basis = np.ascontiguousarray(basis, dtype=complex)
@@ -155,7 +157,9 @@ def green_kernel(
     matrix[1:] *= _leak(params, model)
     matrix[1:] *= np.sqrt(quadrature_weights(grid))[:, None]
 
-    sv, vh = np.linalg.svd(matrix, full_matrices=False)[1:]
+    # matrix = Q R with orthonormal Q, so R has its singular values and
+    # right vectors; the (n + 1, m) left vectors are never formed
+    sv, vh = np.linalg.svd(np.linalg.qr(matrix, mode="r"))[1:]
     efficiencies = sv**2
     if sv[0] > 0.0:
         # scale-free, so no power of sv can overflow; >= 1 by Cauchy-Schwarz,

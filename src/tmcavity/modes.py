@@ -125,9 +125,9 @@ def gram_schmidt_family(seed: TemporalSignal, raw_basis: np.ndarray) -> np.ndarr
     normalized and phased so that its overlap with raw vector k is real and
     positive. This is Gram-Schmidt computed as one Householder QR of the
     quadrature-weighted vectors, so the rows are orthonormal by
-    construction. A raw vector whose post-projection norm (the R diagonal)
-    falls below 1e-8, or is NaN, raises :class:`DegenerateBasisError` naming
-    its index.
+    construction. A raw vector that is not finite, or whose post-projection
+    norm (the R diagonal) falls below 1e-8 or is NaN, raises
+    :class:`DegenerateBasisError` naming its index.
     """
     seed_err = abs(inner_product(seed, seed).real - 1.0)
     if not seed_err < ORTHONORMALITY_TOL:
@@ -135,12 +135,15 @@ def gram_schmidt_family(seed: TemporalSignal, raw_basis: np.ndarray) -> np.ndarr
             f"seed must be unit norm (energy off by {seed_err:.3e}); "
             "normalize it first"
         )
+    bad = np.flatnonzero(~np.isfinite(raw_basis).all(axis=1))
+    if bad.size:
+        raise DegenerateBasisError(f"raw vector {bad[0]} is not finite")
     sqw = np.sqrt(quadrature_weights(seed.grid))
     with np.errstate(over="ignore", invalid="ignore"):
         q, r = np.linalg.qr((np.vstack((seed.values, raw_basis)) * sqw).T)
     # A reduced QR has min(n_samples, count + 1) columns; any raw vector
     # beyond that is necessarily dependent and keeps a zero norm here. A
-    # non-finite raw vector gets a NaN norm, which fails the test too.
+    # NaN norm fails the test too.
     norms = np.zeros(len(raw_basis) + 1)
     norms[: len(r)] = np.abs(np.diagonal(r))
     short = np.flatnonzero(~(norms[1:] >= 1e-8))

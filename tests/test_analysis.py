@@ -148,6 +148,15 @@ class TestGreenKernel:
         assert np.all(np.diff(report.singular_values) <= 0.0)
         assert eff[0] / eff[1] >= 40.0
 
+    def test_singular_values_are_the_response_matrix_spectrum(
+        self, bench_params, control, opt_seed
+    ):
+        # the paper point's reduced/48 kernel, decomposed through its R factor
+        family = gram_schmidt_family(opt_seed, polynomial_raw_basis(opt_seed, 47, 3.0))
+        report = green_kernel(bench_params, control, family, model="reduced")
+        direct = np.linalg.svd(report.response_matrix, compute_uv=False)
+        assert np.abs(report.singular_values - direct).max() <= 1e-15 * direct[0]
+
     def test_no_coupling_kills_every_singular_value(self, control, family8):
         par = CavityParams(gamma_s=10.1, gamma_c=0.01, alpha=0.0)
         report = green_kernel(par, control, family8, model="full")

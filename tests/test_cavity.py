@@ -378,6 +378,33 @@ class TestStepMapsMatchScalarLoops:
         assert named_sample(info.value) == expected
 
 
+class TestDriveLinearStepMaps:
+    """More than 2 drive rows are stepped as the two drives 1 and (-1)^k;
+    each row's maps match stepping that row alone."""
+
+    @pytest.mark.parametrize("model", ["full", "reduced"])
+    @pytest.mark.parametrize(
+        "n", [2, 3, _STEP_BLOCK + 1, _STEP_BLOCK + 2, 2 * _STEP_BLOCK + 2]
+    )
+    @settings(max_examples=10, deadline=None)
+    @given(params=cavity_params, seed=st.integers(0, 2**32 - 1))
+    def test_rows_match_stepping_each_alone(self, model, n, params, seed):
+        # odd and even step counts: recovering P and Q depends on parity
+        grid = TimeGrid(0.0, 10.0, n)
+        rng = np.random.default_rng(seed)
+        samples = rng.standard_normal((4, n)) + 1j * rng.standard_normal((4, n))
+        control, rows = TemporalSignal(grid, samples[0]), samples[1:]
+        dim = 2 if model == "full" else 1
+        rhs = (cavity._full_rhs if model == "full" else cavity._reduced_rhs)(params)
+        maps = cavity._step_maps(rhs, dim, grid.dt, control, rows)
+        assert maps.shape == (dim, dim + 3, n - 1)
+        for j, row in enumerate(rows):
+            alone = cavity._step_maps(rhs, dim, grid.dt, control, row[None])
+            assert np.array_equal(maps[:, :dim], alone[:, :dim])
+            v = alone[:, dim]
+            assert np.abs(maps[:, dim + j] - v).max() <= 1e-14 * np.abs(v).max()
+
+
 scan_lengths = st.sampled_from(
     [1, 2, 3] + [2**k + d for k in range(2, 12) for d in (-1, 0, 1)]
 ) | st.integers(1, 3000)
@@ -496,19 +523,29 @@ class TestPhysicsProperties:
     # the input is still on at the window's end, where a one-band model's
     # S is a pass-through of it, not a store
     @example(alpha=0.0, gamma_s=5.0, center=7.0, order=0, kappa_s=0.05)
+    # the closed form's trapezoid floor is 1.5e-5 at this corner of the draws
+    @example(alpha=8.0, gamma_s=5.0, center=5.0, order=0, kappa_s=0.05)
     def test_photon_balance(
         self, grid10, model, alpha, gamma_s, center, order, kappa_s
     ):
-        control = gaussian_control(center, grid10)
-        s_in = hermite_gaussian(order, center, grid10)
+        def residual(grid, params):
+            control = gaussian_control(center, grid)
+            s_in = hermite_gaussian(order, center, grid)
+            return conservation_residual(simulate(params, control, s_in, model))
+
         lossless = CavityParams(gamma_s=gamma_s, gamma_c=0.01, alpha=alpha)
-        traj = simulate(lossless, control, s_in, model)
-        assert conservation_residual(traj) < 1e-5
+        balance = residual(grid10, lossless)
+        if model == "analytic" and not balance < 1e-5:
+            # the trapezoid's second-order floor falls about 4x when dt
+            # halves; a true imbalance does not fall with dt
+            fine = TimeGrid(grid10.t_start, grid10.t_end, 2 * grid10.n_samples - 1)
+            assert 3.5 * residual(fine, lossless) <= balance
+        else:
+            assert balance < 1e-5
         lossy = CavityParams(
             gamma_s=gamma_s, gamma_c=0.01, alpha=alpha, kappa_s=kappa_s
         )
-        traj = simulate(lossy, control, s_in, model)
-        assert conservation_residual(traj) > 0.0
+        assert residual(grid10, lossy) > 0.0
 
     @settings(max_examples=30, deadline=None)
     @given(

@@ -187,21 +187,23 @@ class TestGramSchmidtFamily:
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
-        "checked, bad, error",
+        "checked, bad, error, match",
         [
-            ("basis", np.inf, NonOrthonormalBasisError),
-            ("basis", 1e200, NonOrthonormalBasisError),
-            ("raw", np.inf, DegenerateBasisError),
+            ("basis", np.inf, NonOrthonormalBasisError, None),
+            ("basis", 1e200, NonOrthonormalBasisError, None),
+            ("raw", np.inf, DegenerateBasisError, "raw vector 0 is not finite"),
         ],
         ids=["basis-inf", "basis-1e200", "raw-inf"],
     )
-    def test_huge_or_infinite_row_raises_the_package_error(self, checked, bad, error):
+    def test_huge_or_infinite_row_raises_the_package_error(
+        self, checked, bad, error, match
+    ):
         # the weighting must not raise a numpy RuntimeWarning before the check
         grid = TimeGrid(0.0, 10.0, 11)
         seed = normalize(TemporalSignal(grid, np.exp(-((grid.times - 5.0) ** 2))))
         row = np.zeros(grid.n_samples)
         row[5] = bad
-        with pytest.raises(error):
+        with pytest.raises(error, match=match):
             if checked == "basis":
                 params = CavityParams(gamma_s=10.1, gamma_c=0.01, alpha=5.5)
                 green_kernel(params, seed, np.array([seed.values, row]))
