@@ -127,34 +127,110 @@ class CavityTrajectory:
         return TemporalSignal(self.grid, _leak(self.params, self.model) * self.C.values)
 
 
-def _full_rhs(params):
-    gts, gtc = params.gamma_tilde_s, params.gamma_tilde_c
-    r2gs, ia = math.sqrt(2.0 * params.gamma_s), 1j * params.alpha
-    return lambda x, o, f: np.array(
-        (ia * o.conj() * x[1] - gts * x[0] + r2gs * f, ia * o * x[0] - gtc * x[1])
-    )
+# The step maps' scalar factors are complex: numpy would cast a float one to
+# complex at every product, and the product is the same bits either way.
+def _rk4(x, k, dt, out):
+    """One RK4 step of a map entry, x + dt/6 (k1 + 2 (k2 + k3) + k4), into ``out``."""
+    k1, k2, k3, k4 = k
+    np.add(x, complex(dt / 6.0) * (k1 + (2 + 0j) * (k2 + k3) + k4), out=out)
 
 
-def _reduced_rhs(params):
+def _stages(x, k1, rhs, dt, drive=None, k2=None):
+    """Each entry's ``(x, (k1, k2, k3, k4))`` of one map column from its start
+    ``x`` (0s and 1s), given k1 (and k2) and ``rhs(x, i, drive)`` at the half
+    step (i = 1) or the step's end (i = 2). An entry from 0 adds no 0."""
+    h2, dt = complex(0.5 * dt), complex(dt)
+
+    def ahead(h, k):
+        return [xi + h * ki if xi else h * ki for xi, ki in zip(x, k)]
+
+    if k2 is None:
+        k2 = rhs(ahead(h2, k1), 1, drive)
+    k3 = rhs(ahead(h2, k2), 1, drive)
+    k4 = rhs(ahead(dt, k3), 2, drive)
+    return zip(x, zip(k1, k2, k3, k4))
+
+
+def _full_rhs(params, control):
+    """The full model's RK4 stages per map entry, for :func:`_step_maps`.
+
+    The generator is [[-gt_s, c], [d, -gt_c]], c = i alpha conj(Omega) and
+    d = i alpha Omega, and the drive sqrt(2 gamma_s) f enters S. A unit
+    column's first stage is its generator column and forms no drive term;
+    a drive column's is the drive alone, and its C is still 0 at the
+    second. ``columns(k0, k1, rows)`` yields the stages over steps k0..k1-1
+    of M's columns, then of one per drive row (f_k, f_k+1/2, f_k+1).
+    """
+    gts, gtc = complex(params.gamma_tilde_s), complex(params.gamma_tilde_c)
+    r2gs, ia = complex(math.sqrt(2.0 * params.gamma_s)), 1j * params.alpha
+    om, dt = control.values, control.grid.dt
+    oh = 0.5 * (om[:-1] + om[1:])
+    c, ch, d, dh = ia * om.conj(), ia * oh.conj(), ia * om, ia * oh
+    decay_s, decay_c, zero = np.array([[-gts], [-gtc], [0.0]], dtype=complex)
+
+    def columns(k0, k1, rows):
+        now, end = slice(k0, k1), slice(k0 + 1, k1 + 1)
+        cs, ds = (c[now], ch[now], c[end]), (d[now], dh[now], d[end])
+
+        def rhs(x, i, drive):
+            s = cs[i] * x[1] - gts * x[0]
+            return (s if drive is None else s + drive[i]), ds[i] * x[0] - gtc * x[1]
+
+        yield _stages((1, 0), (decay_s, ds[0]), rhs, dt)
+        yield _stages((0, 1), (cs[0], decay_c), rhs, dt)
+        for f in rows:
+            drive = [r2gs * fi for fi in f]
+            s2 = complex(0.5 * dt) * drive[0]
+            k2 = drive[1] - gts * s2, ds[1] * s2
+            yield _stages((0, 0), (drive[0], zero), rhs, dt, drive, k2)
+
+    return columns
+
+
+def _reduced_rhs(params, control):
+    """The reduced model's RK4 stages per map entry, as :func:`_full_rhs`:
+    the generator is the real a = -f_s |Omega|^2 - gt_c, and the drive
+    g f = i g_s Omega f, so the unit column's first stage is a."""
     fs, gtc, igs = params.f_s, params.gamma_tilde_c, 1j * params.g_s
-    return lambda x, o, f: (
-        (-fs * (o.real * o.real + o.imag * o.imag) - gtc) * x + igs * o * f
-    )
+    om, dt = control.values, control.grid.dt
+    oh = 0.5 * (om[:-1] + om[1:])
+    # complex once here, not cast at every product
+    a, ah = ((-fs * (o.real * o.real + o.imag * o.imag) - gtc) + 0j for o in (om, oh))
+    g, gh = igs * om, igs * oh
+
+    def columns(k0, k1, rows):
+        now, end = slice(k0, k1), slice(k0 + 1, k1 + 1)
+        as_, gs = (a[now], ah[now], a[end]), (g[now], gh[now], g[end])
+
+        def rhs(x, i, drive):
+            s = as_[i] * x[0]
+            return (s if drive is None else s + drive[i],)
+
+        yield _stages((1,), (as_[0],), rhs, dt)
+        for f in rows:
+            drive = [gi * fi for gi, fi in zip(gs, f)]
+            yield _stages((0,), (drive[0],), rhs, dt, drive)
+
+    return columns
 
 
 _STEP_BLOCK = 1024
 
 
-def _step_maps(rhs, dim, dt, control, drives):
+def _step_maps(columns, dim, control, drives):
     """Fixed RK4 steps of the whole window as affine maps x -> M x + V.
 
-    ``rhs(x, o, f)`` returns the derivatives of the ``dim`` amplitudes
-    ``x[i]`` under control ``o`` and drive ``f`` as one array. ``drives``
-    is an ``(m, n_samples)`` array of signal-band drives. Stepping the unit
-    vectors with zero drive gives the columns of M, and zero with drive row
-    j gives V_j; drives are linearly interpolated at the half steps. The
-    steps are taken in blocks of _STEP_BLOCK, which bounds the RK4
-    temporaries, into one ``(dim, dim + m, n_steps)`` array: M_k is
+    ``columns`` holds a model's stage formulas, ``_full_rhs(params,
+    control)`` with ``dim`` 2 or ``_reduced_rhs(params, control)`` with
+    ``dim`` 1. ``drives`` is an ``(m, n_samples)`` array of signal-band
+    drives, linearly interpolated at the half steps. Each entry of M (a
+    unit column, undriven) and of V_j (from 0 under drive row j) is one RK4
+    step of its own stage formulas. These leave out the terms on the
+    start's exact zeros and ones, and keep every other term as stepping
+    the unit vectors through the whole rhs computed it, in the same order,
+    so the maps are the same bits as that stepping for finite control
+    factors. The steps are taken in blocks of _STEP_BLOCK, which bounds
+    the temporaries, into one ``(dim, dim + m, n_steps)`` array: M_k is
     ``[:, :dim, k]`` and V_k is ``[:, dim:, k]``.
 
     More than 2 rows cost as much as 2. A step is linear in the drive at
@@ -163,11 +239,10 @@ def _step_maps(rhs, dim, dt, control, drives):
     broadcast product. It agrees with stepping the row itself to rounding,
     and M is the same bits. Up to 2 rows are stepped themselves, as cheaply.
     """
-    om = control.values
-    n_steps = len(om) - 1
+    dt, n_steps = control.grid.dt, control.grid.n_samples - 1
     if len(drives) > 2:
         alt = (-1.0) ** np.arange(n_steps + 1)
-        unit = _step_maps(rhs, dim, dt, control, np.stack((np.ones_like(alt), alt)))
+        unit = _step_maps(columns, dim, control, np.stack((np.ones_like(alt), alt)))
         plus, minus = unit[:, dim], alt[:-1] * unit[:, dim + 1]
         p, q = 0.5 * (plus + minus), 0.5 * (plus - minus)
         maps = np.empty((dim, dim + len(drives), n_steps), dtype=complex)
@@ -175,18 +250,17 @@ def _step_maps(rhs, dim, dt, control, drives):
         np.multiply(p[:, None], drives[:, :-1], out=maps[:, dim:])
         maps[:, dim:] += q[:, None] * drives[:, 1:]
         return maps
-    x = np.eye(dim, dim + len(drives), dtype=complex)[:, :, None]
-    maps = np.empty(x.shape[:2] + (n_steps,), dtype=complex)
+    drives = np.asarray(drives, dtype=complex)
+    maps = np.empty((dim, dim + len(drives), n_steps), dtype=complex)
     for k0 in range(0, n_steps, _STEP_BLOCK):
         k1 = min(k0 + _STEP_BLOCK, n_steps)
-        f = np.concatenate((np.zeros((dim, k1 - k0 + 1)), drives[:, k0 : k1 + 1]))
-        o0, o1, f0, f1 = om[k0:k1], om[k0 + 1 : k1 + 1], f[:, :-1], f[:, 1:]
-        oh, fh = 0.5 * (o0 + o1), 0.5 * (f0 + f1)
-        d1 = rhs(x, o0, f0)
-        d2 = rhs(x + 0.5 * dt * d1, oh, fh)
-        d3 = rhs(x + 0.5 * dt * d2, oh, fh)
-        d4 = rhs(x + dt * d3, o1, f1)
-        maps[:, :, k0:k1] = x + dt / 6.0 * (d1 + 2.0 * (d2 + d3) + d4)
+        f0, f1 = drives[:, k0:k1], drives[:, k0 + 1 : k1 + 1]
+        # 1-D rows: numpy rounds a one-element broadcast complex product
+        # differently from any other, so (1,) by (1, 1) would change bits
+        rows = zip(f0, 0.5 * (f0 + f1), f1)
+        for j, column in enumerate(columns(k0, k1, rows)):
+            for i, (x, k) in enumerate(column):
+                _rk4(x, k, dt, maps[i, j, k0:k1])
     return maps
 
 
@@ -263,7 +337,7 @@ def _integrate(params, model, control, drives):
             maps = _closed_form_maps(params, control, drives)
         else:
             rhs = _full_rhs if model == "full" else _reduced_rhs
-            maps = _step_maps(rhs(params), dim, grid.dt, control, drives)
+            maps = _step_maps(rhs(params, control), dim, control, drives)
         m, v = maps[:, :dim], maps[:, dim:]
         driven = np.flatnonzero(v.any(axis=(0, 1)))
         if driven.size:

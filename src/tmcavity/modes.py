@@ -125,9 +125,9 @@ def gram_schmidt_family(seed: TemporalSignal, raw_basis: np.ndarray) -> np.ndarr
     normalized and phased so that its overlap with raw vector k is real and
     positive. This is Gram-Schmidt computed as one Householder QR of the
     quadrature-weighted vectors, so the rows are orthonormal by
-    construction. A raw vector that is not finite, or whose post-projection
-    norm (the R diagonal) falls below 1e-8 or is NaN, raises
-    :class:`DegenerateBasisError` naming its index.
+    construction. A raw vector that is not finite, whose weighted norm
+    overflows, or whose post-projection norm (the R diagonal) falls below
+    1e-8 raises :class:`DegenerateBasisError` naming its index.
     """
     seed_err = abs(inner_product(seed, seed).real - 1.0)
     if not seed_err < ORTHONORMALITY_TOL:
@@ -142,15 +142,19 @@ def gram_schmidt_family(seed: TemporalSignal, raw_basis: np.ndarray) -> np.ndarr
     with np.errstate(over="ignore", invalid="ignore"):
         q, r = np.linalg.qr((np.vstack((seed.values, raw_basis)) * sqw).T)
     # A reduced QR has min(n_samples, count + 1) columns; any raw vector
-    # beyond that is necessarily dependent and keeps a zero norm here. A
-    # NaN norm fails the test too.
+    # beyond that is necessarily dependent and keeps a zero norm here. The
+    # raw vectors are finite, so a non-finite norm is one that overflowed.
     norms = np.zeros(len(raw_basis) + 1)
     norms[: len(r)] = np.abs(np.diagonal(r))
-    short = np.flatnonzero(~(norms[1:] >= 1e-8))
-    if short.size:
+    bad = np.flatnonzero(~(np.isfinite(norms[1:]) & (norms[1:] >= 1e-8)))
+    if bad.size and not np.isfinite(norms[bad[0] + 1]):
         raise DegenerateBasisError(
-            f"raw vector {short[0]} is linearly dependent on the family "
-            f"(post-projection norm {norms[short[0] + 1]:.3e})"
+            f"raw vector {bad[0]} has a weighted norm that overflows double precision"
+        )
+    if bad.size:
+        raise DegenerateBasisError(
+            f"raw vector {bad[0]} is linearly dependent on the family "
+            f"(post-projection norm {norms[bad[0] + 1]:.3e})"
         )
     q *= np.diagonal(r) / norms
     q /= sqw[:, None]

@@ -1,12 +1,16 @@
 """Scalar RK4 loops of both models: the oracle the vectorized integrators are
 tested against, and the source of the samples their passivity check names.
-Also the closed form as written, the oracle of its stepped evaluation."""
+Also the closed form as written, the oracle of its stepped evaluation, and
+the step maps built by stepping the unit vectors through a generic rhs, the
+oracle of the per-entry maps."""
 
+import math
 import re
 
 import numpy as np
 
 from tmcavity import cumulative_integral
+from tmcavity.cavity import _STEP_BLOCK
 
 
 def reference_closed_form(params, control, s_in):
@@ -142,3 +146,67 @@ def first_unbounded_sample(reference, params, control, s_in):
 def named_sample(exc):
     """The sample an :class:`InstabilityError` message names."""
     return int(re.search(r"at sample (\d+) ", str(exc)).group(1))
+
+
+def reference_full_rhs(params):
+    gts, gtc = params.gamma_tilde_s, params.gamma_tilde_c
+    r2gs, ia = math.sqrt(2.0 * params.gamma_s), 1j * params.alpha
+    return lambda x, o, f: np.array(
+        (ia * o.conj() * x[1] - gts * x[0] + r2gs * f, ia * o * x[0] - gtc * x[1])
+    )
+
+
+def reference_reduced_rhs(params):
+    fs, gtc, igs = params.f_s, params.gamma_tilde_c, 1j * params.g_s
+    return lambda x, o, f: (
+        (-fs * (o.real * o.real + o.imag * o.imag) - gtc) * x + igs * o * f
+    )
+
+
+def reference_step_maps(rhs, dim, dt, control, drives):
+    """The generic block stepper the per-entry step maps replaced, kept
+    verbatim with its rhs lambdas above; they must give the same bits.
+
+    Fixed RK4 steps of the whole window as affine maps x -> M x + V.
+
+    ``rhs(x, o, f)`` returns the derivatives of the ``dim`` amplitudes
+    ``x[i]`` under control ``o`` and drive ``f`` as one array. ``drives``
+    is an ``(m, n_samples)`` array of signal-band drives. Stepping the unit
+    vectors with zero drive gives the columns of M, and zero with drive row
+    j gives V_j; drives are linearly interpolated at the half steps. The
+    steps are taken in blocks of _STEP_BLOCK, which bounds the RK4
+    temporaries, into one ``(dim, dim + m, n_steps)`` array: M_k is
+    ``[:, :dim, k]`` and V_k is ``[:, dim:, k]``.
+
+    More than 2 rows cost as much as 2. A step is linear in the drive at
+    its two ends, V_k = P_k s_k + Q_k s_{k+1}, so the drives 1 and (-1)^k,
+    which step to P + Q and (-1)^k (P - Q), give every row's V as one
+    broadcast product. It agrees with stepping the row itself to rounding,
+    and M is the same bits. Up to 2 rows are stepped themselves, as cheaply.
+    """
+    om = control.values
+    n_steps = len(om) - 1
+    if len(drives) > 2:
+        alt = (-1.0) ** np.arange(n_steps + 1)
+        ones = np.ones_like(alt)
+        unit = reference_step_maps(rhs, dim, dt, control, np.stack((ones, alt)))
+        plus, minus = unit[:, dim], alt[:-1] * unit[:, dim + 1]
+        p, q = 0.5 * (plus + minus), 0.5 * (plus - minus)
+        maps = np.empty((dim, dim + len(drives), n_steps), dtype=complex)
+        maps[:, :dim] = unit[:, :dim]
+        np.multiply(p[:, None], drives[:, :-1], out=maps[:, dim:])
+        maps[:, dim:] += q[:, None] * drives[:, 1:]
+        return maps
+    x = np.eye(dim, dim + len(drives), dtype=complex)[:, :, None]
+    maps = np.empty(x.shape[:2] + (n_steps,), dtype=complex)
+    for k0 in range(0, n_steps, _STEP_BLOCK):
+        k1 = min(k0 + _STEP_BLOCK, n_steps)
+        f = np.concatenate((np.zeros((dim, k1 - k0 + 1)), drives[:, k0 : k1 + 1]))
+        o0, o1, f0, f1 = om[k0:k1], om[k0 + 1 : k1 + 1], f[:, :-1], f[:, 1:]
+        oh, fh = 0.5 * (o0 + o1), 0.5 * (f0 + f1)
+        d1 = rhs(x, o0, f0)
+        d2 = rhs(x + 0.5 * dt * d1, oh, fh)
+        d3 = rhs(x + 0.5 * dt * d2, oh, fh)
+        d4 = rhs(x + dt * d3, o1, f1)
+        maps[:, :, k0:k1] = x + dt / 6.0 * (d1 + 2.0 * (d2 + d3) + d4)
+    return maps

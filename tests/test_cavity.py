@@ -36,7 +36,10 @@ from reference_loops import (
     named_sample,
     reference_closed_form,
     reference_full,
+    reference_full_rhs,
     reference_reduced,
+    reference_reduced_rhs,
+    reference_step_maps,
 )
 
 BENCH = dict(gamma_s=10.1, gamma_c=0.01, alpha=5.5)
@@ -378,6 +381,13 @@ class TestStepMapsMatchScalarLoops:
         assert named_sample(info.value) == expected
 
 
+def _step_maps(model, params, control, rows):
+    """The step maps of ``model`` under drive ``rows``."""
+    if model == "full":
+        return cavity._step_maps(cavity._full_rhs(params, control), 2, control, rows)
+    return cavity._step_maps(cavity._reduced_rhs(params, control), 1, control, rows)
+
+
 class TestDriveLinearStepMaps:
     """More than 2 drive rows are stepped as the two drives 1 and (-1)^k;
     each row's maps match stepping that row alone."""
@@ -395,14 +405,97 @@ class TestDriveLinearStepMaps:
         samples = rng.standard_normal((4, n)) + 1j * rng.standard_normal((4, n))
         control, rows = TemporalSignal(grid, samples[0]), samples[1:]
         dim = 2 if model == "full" else 1
-        rhs = (cavity._full_rhs if model == "full" else cavity._reduced_rhs)(params)
-        maps = cavity._step_maps(rhs, dim, grid.dt, control, rows)
+        maps = _step_maps(model, params, control, rows)
         assert maps.shape == (dim, dim + 3, n - 1)
         for j, row in enumerate(rows):
-            alone = cavity._step_maps(rhs, dim, grid.dt, control, row[None])
+            alone = _step_maps(model, params, control, row[None])
             assert np.array_equal(maps[:, :dim], alone[:, :dim])
             v = alone[:, dim]
             assert np.abs(maps[:, dim + j] - v).max() <= 1e-14 * np.abs(v).max()
+
+
+# rates from about 1e80 on overflow the RK4 stages: the maps hold inf and NaN
+huge_rate = st.floats(1e60, 1e300)
+overflowing_params = st.builds(
+    CavityParams,
+    gamma_s=st.floats(0.1, 20.0) | huge_rate,
+    gamma_c=st.floats(0.0, 5.0) | huge_rate,
+    alpha=st.just(0.0) | st.floats(0.01, 10.0) | st.floats(-10.0, -0.01),
+    kappa_s=st.floats(0.0, 5.0) | huge_rate,
+    kappa_c=st.floats(0.0, 5.0),
+)
+
+
+@st.composite
+def step_map_inputs(draw, n, rows):
+    """A control, chirped and complex or real with exact zeros, and ``rows``
+    drive rows, each complex, real or all zero (of either sign)."""
+    if n is None:
+        n = draw(st.integers(2, 3000), label="n_samples")
+    grid = TimeGrid(0.0, 10.0, n)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans(), label="chirped control"):
+        control = _chirped_pulse(
+            grid,
+            center=draw(st.floats(2.0, 8.0)),
+            width=draw(st.floats(0.5, 2.0)),
+            chirp=draw(st.floats(-2.0, 2.0)),
+            amplitude=draw(st.floats(0.1, 2.0)),
+        )
+    else:
+        om = rng.standard_normal(n) * (rng.random(n) < 0.7)
+        om[rng.random(n) < 0.1] = -0.0
+        control = TemporalSignal(grid, om)
+    drive = np.empty((rows, n), dtype=complex)
+    kinds = st.sampled_from(["complex", "real", "zero", "negative zero"])
+    for row in drive:
+        kind = draw(kinds, label="drive row")
+        row[:] = {
+            "complex": rng.standard_normal(n) + 1j * rng.standard_normal(n),
+            "real": rng.standard_normal(n),
+            "zero": 0.0,
+            "negative zero": -0.0,
+        }[kind]
+    return control, drive
+
+
+class TestStepMapsMatchUnitVectorStepping:
+    """The per-entry step maps are the bits of stepping the unit vectors and
+    the drives through the whole rhs, as the generic stepper did."""
+
+    @staticmethod
+    def _assert_same_bits(model, params, control, drive):
+        rhs = reference_full_rhs if model == "full" else reference_reduced_rhs
+        dim = 2 if model == "full" else 1
+        with np.errstate(all="ignore"):
+            old = reference_step_maps(
+                rhs(params), dim, control.grid.dt, control, drive
+            )
+            new = _step_maps(model, params, control, drive)
+        assert new.shape == old.shape
+        assert np.array_equal(new.view(np.uint64), old.view(np.uint64))
+        return old
+
+    @pytest.mark.parametrize("model", ["full", "reduced"])
+    @pytest.mark.parametrize("rows", [1, 2, 3, 5])
+    @pytest.mark.parametrize(
+        "n", [2, 3, _STEP_BLOCK + 1, _STEP_BLOCK + 2, 2 * _STEP_BLOCK + 2, None]
+    )
+    @settings(max_examples=5, deadline=None)
+    @given(params=overflowing_params, data=st.data())
+    def test_maps_are_the_same_bits(self, model, rows, n, params, data):
+        control, drive = data.draw(step_map_inputs(n, rows))
+        self._assert_same_bits(model, params, control, drive)
+
+    @pytest.mark.parametrize("model", ["full", "reduced"])
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_overflowing_stages_are_the_same_bits(self, model, rows):
+        grid = TimeGrid(0.0, 10.0, 2 * _STEP_BLOCK + 2)
+        control = _chirped_pulse(grid, 5.0, 1.0, 1.0, 2.0)
+        drive = np.tile(_chirped_pulse(grid, 4.0, 1.5, -0.5, 1.0).values, (rows, 1))
+        params = CavityParams(gamma_s=1e80, gamma_c=0.01, alpha=5.5, kappa_c=1e80)
+        old = self._assert_same_bits(model, params, control, drive)
+        assert np.isinf(old).any() and np.isnan(old).any() and np.isfinite(old).any()
 
 
 scan_lengths = st.sampled_from(

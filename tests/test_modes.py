@@ -187,22 +187,30 @@ class TestGramSchmidtFamily:
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
-        "checked, bad, error, match",
+        "checked, samples, bad, error, match",
         [
-            ("basis", np.inf, NonOrthonormalBasisError, None),
-            ("basis", 1e200, NonOrthonormalBasisError, None),
-            ("raw", np.inf, DegenerateBasisError, "raw vector 0 is not finite"),
+            ("basis", [5], np.inf, NonOrthonormalBasisError, None),
+            ("basis", [5], 1e200, NonOrthonormalBasisError, None),
+            ("raw", [5], np.inf, DegenerateBasisError, "raw vector 0 is not finite"),
+            # finite, but its weighted norm overflows: the R diagonal is inf
+            (
+                "raw",
+                [3, 5],
+                1.7e308,
+                DegenerateBasisError,
+                "raw vector 0 has a weighted norm that overflows",
+            ),
         ],
-        ids=["basis-inf", "basis-1e200", "raw-inf"],
+        ids=["basis-inf", "basis-1e200", "raw-inf", "raw-overflow"],
     )
     def test_huge_or_infinite_row_raises_the_package_error(
-        self, checked, bad, error, match
+        self, checked, samples, bad, error, match
     ):
         # the weighting must not raise a numpy RuntimeWarning before the check
         grid = TimeGrid(0.0, 10.0, 11)
         seed = normalize(TemporalSignal(grid, np.exp(-((grid.times - 5.0) ** 2))))
         row = np.zeros(grid.n_samples)
-        row[5] = bad
+        row[samples] = bad
         with pytest.raises(error, match=match):
             if checked == "basis":
                 params = CavityParams(gamma_s=10.1, gamma_c=0.01, alpha=5.5)
