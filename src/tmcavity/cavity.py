@@ -44,8 +44,8 @@ from .errors import InstabilityError
 from .signals import (
     TemporalSignal,
     TimeGrid,
+    _pulse_area,
     _write_csv,
-    cumulative_integral,
     require_same_grid,
 )
 
@@ -58,7 +58,8 @@ class CavityParams:
     and converted bands, ``kappa_s``/``kappa_c`` the internal loss rates, and
     ``alpha`` the nonlinear strength (the control pulse energy is absorbed
     into it, the control envelope itself being square-normalized).
-    Derived rates are recomputed on access, never stored.
+    Derived rates are recomputed on access, never stored; an alpha that
+    makes f_s or g_s overflow is rejected with the other invalid fields.
     """
 
     gamma_s: float
@@ -77,6 +78,12 @@ class CavityParams:
         for name in ("gamma_c", "kappa_s", "kappa_c"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        try:
+            rates = (self.f_s, self.g_s)
+        except OverflowError:  # alpha**2 past the float range
+            rates = (math.inf,)
+        if not all(map(math.isfinite, rates)):
+            raise ValueError(f"f_s or g_s overflows at alpha = {self.alpha}")
 
     @property
     def gamma_tilde_s(self) -> float:
@@ -214,7 +221,7 @@ def _reduced_rhs(params, control):
     return columns
 
 
-_STEP_BLOCK = 1024
+_STEP_BLOCK = 2048
 
 
 def _step_maps(columns, dim, control, drives):
@@ -229,9 +236,13 @@ def _step_maps(columns, dim, control, drives):
     start's exact zeros and ones, and keep every other term as stepping
     the unit vectors through the whole rhs computed it, in the same order,
     so the maps are the same bits as that stepping for finite control
-    factors. The steps are taken in blocks of _STEP_BLOCK, which bounds
-    the temporaries, into one ``(dim, dim + m, n_steps)`` array: M_k is
-    ``[:, :dim, k]`` and V_k is ``[:, dim:, k]``.
+    factors. The steps are taken in blocks of _STEP_BLOCK into one
+    ``(dim, dim + m, n_steps)`` array: M_k is ``[:, :dim, k]`` and V_k is
+    ``[:, dim:, k]``. Each entry is elementwise per step, so the block size
+    cannot change a bit: it sets only the number of numpy calls and the
+    size of the temporaries. 2048 was the fastest of 1024 to 4096 for a
+    three-model alpha sweep at 10001 samples, on a 2-vCPU x86 host with
+    48 KB L1d and 2 MB L2 per core.
 
     More than 2 rows cost as much as 2. A step is linear in the drive at
     its two ends, V_k = P_k s_k + Q_k s_{k+1}, so the drives 1 and (-1)^k,
@@ -269,7 +280,7 @@ def _closed_form_maps(params, control, drives):
     :func:`_step_maps` with dim 1. With a = f_s eps, M_k = exp(a_k - a_{k+1})
     and V_k = (i g_s dt / 2)(M_k Omega_k s_k + Omega_{k+1} s_{k+1}); a never
     decreases, so no factor exceeds 1 or can overflow, whatever f_s."""
-    a = params.f_s * cumulative_integral(control)
+    a = params.f_s * _pulse_area(control)
     m = np.exp(a[:-1] - a[1:])
     drive = 0.5j * params.g_s * control.grid.dt * control.values * drives
     return np.concatenate((m[None], m * drive[:, :-1] + drive[:, 1:]))[None]
@@ -411,10 +422,11 @@ def simulate(
             )
         s_out = -s_in.values + np.sqrt(2.0 * params.gamma_s) * s_arr  # = traj.S_out
         c_out = _leak(params, model) * c_arr  # = traj.C_out
-    finite = np.isfinite((s_arr, s_out, c_out))
-    k = int(np.argmin(finite.all(axis=0)))
-    if not finite[:, k].all():
-        name = ("S", "S_out", "C_out")[np.argmin(finite[:, k])]
+    finite = np.isfinite(s_arr) & np.isfinite(s_out) & np.isfinite(c_out)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        fields = {"S": s_arr, "S_out": s_out, "C_out": c_out}
+        name = next(n for n, f in fields.items() if not np.isfinite(f[k]))
         raise _unstable(grid, k, f"{name} overflows")
     return CavityTrajectory(
         grid=grid,

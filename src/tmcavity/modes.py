@@ -24,7 +24,7 @@ from .errors import (
 from .signals import (
     TemporalSignal,
     TimeGrid,
-    cumulative_integral,
+    _pulse_area,
     inner_product,
     normalize,
     quadrature_weights,
@@ -104,7 +104,7 @@ def optimal_input_mode(
     returns conj(Omega) unchanged.
     """
     fs = params.f_s
-    eps = cumulative_integral(control)
+    eps = _pulse_area(control)
     if fs == 0.0:
         scale = 1.0
     else:

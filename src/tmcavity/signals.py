@@ -8,6 +8,7 @@ energy bookkeeping is consistent with the dynamics to quadrature accuracy.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,6 +118,23 @@ def cumulative_integral(f: TemporalSignal) -> np.ndarray:
     out[0] = 0.0
     np.cumsum(0.5 * f.grid.dt * (g[1:] + g[:-1]), out=out[1:])
     return out
+
+
+# A signal hashes by identity and never changes, so its area is built once
+# and dropped with it. Threads that race on one signal build the same values,
+# so whichever copy is kept is right.
+_PULSE_AREAS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _pulse_area(control: TemporalSignal) -> np.ndarray:
+    """:func:`cumulative_integral` of ``control``, built once per signal and
+    returned read-only, for the callers that evaluate one control many times."""
+    area = _PULSE_AREAS.get(control)
+    if area is None:
+        area = cumulative_integral(control)
+        area.flags.writeable = False
+        _PULSE_AREAS[control] = area
+    return area
 
 
 def normalize(f: TemporalSignal) -> TemporalSignal:

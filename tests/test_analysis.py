@@ -1,7 +1,9 @@
 """Diagnostics, kernel decomposition, coupling sweep, and unit conversion."""
 
 import dataclasses
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -31,7 +33,7 @@ from tmcavity import (
     simulate,
     unconverted_energy,
 )
-from tmcavity import analysis
+from tmcavity import analysis, signals
 from tmcavity.cavity import _STEP_BLOCK
 
 from reference_loops import (
@@ -421,6 +423,63 @@ class TestScanAlpha:
         assert np.all(np.diff(scan.w_out) < 0.0)
         for a, w in zip(scan.alphas, scan.w_out):
             assert w == pytest.approx(math.exp(-2.0 * a**2 / 10.1), abs=1e-4)
+
+    @pytest.mark.parametrize("model", ["full", "reduced", "analytic"])
+    @settings(max_examples=5, deadline=None)
+    @given(
+        shape=st.tuples(
+            st.floats(2.0, 5.0), st.floats(0.5, 1.5), st.floats(-1.0, 1.0)
+        ),
+        alphas=st.lists(st.floats(0.5, 10.0), min_size=3, max_size=3, unique=True),
+        gamma_s=st.floats(5.0, 20.0),
+    )
+    def test_points_equal_one_off_runs_bit_for_bit(
+        self, model, shape, alphas, gamma_s
+    ):
+        # the scan reuses its control's pulse area across points; a one-off
+        # run builds its own control, and so its own area, from scratch
+        grid = TimeGrid(0.0, 10.0, 1001)
+        center, width, chirp = shape
+
+        def build_control():
+            u = grid.times - center
+            return TemporalSignal(grid, np.exp(-((u / width) ** 2) + 1j * chirp * u**2))
+
+        alphas = sorted(alphas)
+        kw = dict(gamma_s=gamma_s, gamma_c=0.01, model=model)
+        # a scan on another control, kept alive: its area must not be reused
+        other = gaussian_control(6.0, grid)
+        scan_alpha(alphas, control=other, **kw)
+        scan = scan_alpha(alphas, control=build_control(), **kw)
+        for alpha, w in zip(alphas, scan.w_out):
+            params = CavityParams(gamma_s=gamma_s, gamma_c=0.01, alpha=alpha)
+            control = build_control()
+            mode = normalize(optimal_input_mode(params, control))
+            try:
+                traj = simulate(params, control, mode, model)
+                one_off = (
+                    1.0 - abs(traj.C.values[-1]) ** 2
+                    if model == "analytic"
+                    else unconverted_energy(traj).value
+                )
+            except InstabilityError:
+                one_off = math.nan
+            if not 0.0 <= one_off < math.inf:
+                one_off = math.nan
+            assert np.float64(w).view(np.uint64) == np.float64(one_off).view(np.uint64)
+
+    def test_scan_leaves_no_pulse_area_behind(self):
+        gc.collect()
+        held = len(signals._PULSE_AREAS)
+        control = gaussian_control(3.0, TimeGrid(0.0, 10.0, 501))
+        for model in ("full", "analytic"):
+            scan_alpha([1.0, 2.0, 3.0], gamma_s=10.1, gamma_c=0.0,
+                       control=control, model=model)
+        assert len(signals._PULSE_AREAS) == held + 1
+        ref = weakref.ref(control)
+        del control
+        gc.collect()
+        assert ref() is None and len(signals._PULSE_AREAS) == held
 
     def test_grid_validation(self, control):
         kw = dict(gamma_s=10.1, gamma_c=0.01, control=control)

@@ -1,6 +1,7 @@
 """Dynamical models: benchmark values, agreement, and conservation laws."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -110,6 +111,24 @@ class TestDerivedRates:
         with pytest.raises(ValueError):
             CavityParams(gamma_s=1.0, gamma_c=0.0, alpha=1.0, kappa_s=-1.0)
 
+    @pytest.mark.parametrize(
+        "gamma_s, alpha",
+        [(10.1, 1e300), (10.1, -1e300), (10.1, 1.4e154), (1e-300, 1e10)],
+        ids=["alpha-squared-overflows", "negative", "just-past", "f_s-inf"],
+    )
+    def test_alpha_whose_rates_overflow_is_rejected(self, gamma_s, alpha):
+        # alpha**2 past the float range raised a bare OverflowError from
+        # f_s, optimal_input_mode and simulate; 1e20 / 1e-300 gives inf
+        message = re.escape(f"overflows at alpha = {alpha!r}") + "$"
+        with pytest.raises(ValueError, match=message):
+            CavityParams(gamma_s=gamma_s, gamma_c=0.01, alpha=alpha)
+
+    def test_alphas_with_huge_but_finite_rates_are_accepted(self):
+        par = CavityParams(gamma_s=10.1, gamma_c=0.01, alpha=1.3e154)
+        assert math.isfinite(par.f_s) and math.isfinite(par.g_s)
+        par = CavityParams(gamma_s=1e-300, gamma_c=0.0, alpha=1e-5)
+        assert par.f_s == pytest.approx(1e290, rel=1e-15)
+
 
 class TestSimulateFull:
     def test_mismatched_gaussian_input_benchmark(self, traj_gaussian_input):
@@ -153,11 +172,15 @@ class TestSimulateFull:
 
 class TestSimulateReduced:
     def test_non_finite_step_drives_name_the_first_non_finite_state(self):
-        # f_s = 1e20 / 1e-300 overflows, so the step maps and drives are NaN
-        # wherever the control is on: the empty start must not be the one named
+        # f_s = 1e-10 / 1e-300 is finite, but its RK4 stages overflow, so the
+        # step maps and drives are not finite wherever the control is on:
+        # the empty start must not be the one named
         grid = TimeGrid(0.0, 10.0, 11)
         pulse = TemporalSignal(grid, np.exp(-((grid.times - 3.0) ** 2)))
-        par = CavityParams(gamma_s=1e-300, gamma_c=0.0, alpha=1e10)
+        par = CavityParams(gamma_s=1e-300, gamma_c=0.0, alpha=1e-5)
+        with np.errstate(all="ignore"):
+            maps = _step_maps("reduced", par, pulse, pulse.values[None])
+        assert not np.isfinite(maps).any()
         with pytest.raises(InstabilityError, match=r"at sample 1 "):
             simulate(par, pulse, pulse, "reduced")
 
@@ -496,6 +519,27 @@ class TestStepMapsMatchUnitVectorStepping:
         params = CavityParams(gamma_s=1e80, gamma_c=0.01, alpha=5.5, kappa_c=1e80)
         old = self._assert_same_bits(model, params, control, drive)
         assert np.isinf(old).any() and np.isnan(old).any() and np.isfinite(old).any()
+
+
+class TestStepBlock:
+    """Each map entry is elementwise per step, so the block size sets only
+    how many numpy calls a build makes, never a bit of the maps."""
+
+    @pytest.mark.parametrize("model", ["full", "reduced"])
+    @pytest.mark.parametrize("rows", [1, 3])
+    @settings(max_examples=5, deadline=None)
+    @given(params=overflowing_params, data=st.data())
+    def test_block_size_does_not_change_a_bit(self, model, rows, params, data):
+        # three blocks of the current size and a remainder: six and more of 1024
+        n = 3 * _STEP_BLOCK + 7
+        control, drive = data.draw(step_map_inputs(n, rows))
+        with np.errstate(all="ignore"):
+            new = _step_maps(model, params, control, drive)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(cavity, "_STEP_BLOCK", 1024)
+                old = _step_maps(model, params, control, drive)
+        assert _STEP_BLOCK != 1024 and cavity._STEP_BLOCK == _STEP_BLOCK
+        assert np.array_equal(new.view(np.uint64), old.view(np.uint64))
 
 
 scan_lengths = st.sampled_from(

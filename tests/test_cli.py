@@ -203,6 +203,35 @@ class TestCliCommands:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "replacements, alpha",
+        [
+            ({"alpha = 5.5": "alpha = 1e160"}, "1e+160"),
+            ({"fig2-optimal": "fig4-design", "alpha = 5.5": "alpha = 1e160"}, "1e+160"),
+            ({"fig2-optimal": "alpha-scan\nalpha_min = 1e159\nalpha_max = 3e159\n"
+              "alpha_step = 1e159"}, "1e+159"),
+            ({"fig2-optimal": "alpha-scan\nalpha_min = -2e154\nalpha_max = 1.0\n"
+              "alpha_step = 1e154"}, "-2e+154"),
+            ({"fig2-optimal": "alpha-scan\nalpha_min = 1.0\nalpha_max = 2e154\n"
+              "alpha_step = 1e154"}, "2e+154"),
+        ],
+        ids=["alpha-1e160", "fig4-alpha-1e160", "alpha-grid-1e159", "alpha-grid-min",
+             "alpha-grid-max"],
+    )
+    def test_overflowing_alpha_exits_2_naming_it(
+        self, tmp_path, capsys, replacements, alpha
+    ):
+        # the cavity's own check, at its alpha and at both sweep ends
+        text = GOOD_CONFIG
+        for old, new in replacements.items():
+            text = text.replace(old, new)
+        path = write_config(tmp_path, text)
+        code = main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.rstrip().endswith(f": f_s or g_s overflows at alpha = {alpha}")
+
     def test_missing_config_exits_2(self, tmp_path, capsys):
         code = main(
             ["run", "--config", str(tmp_path / "nope.ini"), "--out", str(tmp_path)]

@@ -1,6 +1,10 @@
 """Grid, signal container, and quadrature contracts."""
 
+import gc
 import math
+import sys
+import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -16,6 +20,7 @@ from tmcavity import (
     normalize,
     signal_to_csv,
 )
+from tmcavity import signals
 
 
 def rand_signal(grid, rng):
@@ -149,6 +154,75 @@ class TestCumulativeIntegral:
             f = rand_signal(grid, rng)
             area = cumulative_integral(f)[-1]
             assert area == pytest.approx(inner_product(f, f).real, abs=1e-12)
+
+
+class TestPulseAreaMemo:
+    """The pulse area of a control is built once, kept read-only, and
+    dropped with the control."""
+
+    def test_area_is_built_once_and_read_only(self):
+        grid = TimeGrid(0.0, 1.0, 101)
+        f = TemporalSignal(grid, np.exp(1j * grid.times))
+        area = signals._pulse_area(f)
+        assert signals._pulse_area(f) is area
+        assert not area.flags.writeable
+        assert np.array_equal(area, cumulative_integral(f))
+
+    def test_cumulative_integral_stays_a_fresh_writable_array(self):
+        grid = TimeGrid(0.0, 1.0, 101)
+        f = TemporalSignal(grid, np.ones(101))
+        area = signals._pulse_area(f)
+        out = cumulative_integral(f)
+        assert out is not area and out.flags.writeable
+        out[:] = -1.0
+        assert np.array_equal(signals._pulse_area(f), cumulative_integral(f))
+
+    def test_memo_holds_no_entry_once_the_control_is_dropped(self):
+        gc.collect()
+        held = len(signals._PULSE_AREAS)
+        grid = TimeGrid(0.0, 1.0, 101)
+        f = TemporalSignal(grid, np.ones(101))
+        signals._pulse_area(f)
+        assert len(signals._PULSE_AREAS) == held + 1
+        ref = weakref.ref(f)
+        del f
+        gc.collect()
+        assert ref() is None
+        assert len(signals._PULSE_AREAS) == held
+
+    def test_threads_building_and_dropping_areas_get_the_right_ones(self):
+        # one control shared by every thread, and one per call that is
+        # dropped at once, so entries come and go while others are read
+        grid = TimeGrid(0.0, 1.0, 2001)
+        shared = TemporalSignal(grid, np.exp(1j * grid.times))
+        expected = cumulative_integral(shared)
+        results, errors = [], []
+
+        def work(k):
+            try:
+                for i in range(50):
+                    own = TemporalSignal(grid, np.full(2001, k + i + 1.0))
+                    results.append(
+                        np.array_equal(signals._pulse_area(shared), expected)
+                        and np.array_equal(
+                            signals._pulse_area(own), cumulative_integral(own)
+                        )
+                    )
+            except Exception as exc:  # reported below, not lost in the thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors and len(results) == 200 and all(results)
 
 
 class TestNormalize:
