@@ -43,7 +43,7 @@ from .modes import (
     gram_schmidt_family,
     hermite_gaussian,
     optimal_input_mode,
-    polynomial_raw_basis,
+    polynomial_family,
 )
 from .signals import (
     TemporalSignal,

@@ -120,7 +120,7 @@ def green_kernel(
     """Assemble and decompose the conversion kernel over an input basis.
 
     ``basis`` is an ``(m, n_samples)`` array, m >= 2, of modes sampled on
-    ``control.grid``, as :func:`gram_schmidt_family` returns them. Its rows
+    ``control.grid``, as :func:`polynomial_family` returns them. Its rows
     must be trapezoid-orthonormal there, so that column norms are physical
     energies, or :class:`NonOrthonormalBasisError` is raised; any other
     shape raises :class:`GridMismatchError`. Rows carry no grid: rows from

@@ -38,11 +38,10 @@ from .modes import (
     MAX_HERMITE_ORDER,
     _require_margin,
     gaussian_control,
-    gram_schmidt_family,
     hermite_gaussian,
     hermite_margin,
     optimal_input_mode,
-    polynomial_raw_basis,
+    polynomial_family,
 )
 from .signals import (
     TemporalSignal,
@@ -166,8 +165,7 @@ def _trajectory_results(traj) -> dict:
 def _orthogonal_family(config: ExperimentConfig, size: int):
     control = gaussian_control(config.control_center, config.grid)
     seed = normalize(optimal_input_mode(config.cavity, control))
-    raw = polynomial_raw_basis(seed, size, config.control_center)
-    return control, gram_schmidt_family(seed, raw)
+    return control, polynomial_family(seed, size, config.control_center)
 
 
 def _run_fig2_gaussian(config, out):

@@ -8,12 +8,11 @@ from tmcavity import (
     TimeGrid,
     design_control,
     gaussian_control,
-    gram_schmidt_family,
     green_kernel,
     hermite_gaussian,
     normalize,
     optimal_input_mode,
-    polynomial_raw_basis,
+    polynomial_family,
     simulate,
 )
 
@@ -62,8 +61,7 @@ def traj_optimal_input(bench_params, control, opt_mode):
 
 @pytest.fixture(scope="session")
 def family8(opt_seed):
-    raw = polynomial_raw_basis(opt_seed, 7, CONTROL_CENTER)
-    return gram_schmidt_family(opt_seed, raw)
+    return polynomial_family(opt_seed, 7, CONTROL_CENTER)
 
 
 @pytest.fixture(scope="session")

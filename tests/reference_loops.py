@@ -2,15 +2,33 @@
 tested against, and the source of the samples their passivity check names.
 Also the closed form as written, the oracle of its stepped evaluation, and
 the step maps built by stepping the unit vectors through a generic rhs, the
-oracle of the per-entry maps."""
+oracle of the per-entry maps. And the monomial raw vectors whose QR is the
+low-order reference of the polynomial family's recurrence."""
 
 import math
 import re
 
 import numpy as np
 
-from tmcavity import cumulative_integral
+from tmcavity import DegenerateBasisError, cumulative_integral
 from tmcavity.cavity import _STEP_BLOCK
+
+
+def polynomial_raw_basis(seed, count, center):
+    """Raw vectors (t - center)^k * seed for k = 1..count, as ``(count, n)`` rows.
+
+    Fed to :func:`tmcavity.gram_schmidt_family` they give the polynomial
+    family by a complex QR; the monomials are ill-conditioned, so the two
+    agree only at low order. A row that overflows raises
+    :class:`DegenerateBasisError`.
+    """
+    u = seed.grid.times - center
+    with np.errstate(over="ignore", invalid="ignore"):
+        raw = np.cumprod(np.broadcast_to(u, (count, len(u))), axis=0) * seed.values
+    bad = np.flatnonzero(~np.isfinite(raw).all(axis=1))
+    if bad.size:
+        raise DegenerateBasisError(f"raw vector {bad[0]} overflows double precision")
+    return raw
 
 
 def reference_closed_form(params, control, s_in):

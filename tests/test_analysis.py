@@ -20,14 +20,13 @@ from tmcavity import (
     UndefinedResidualError,
     conservation_residual,
     gaussian_control,
-    gram_schmidt_family,
     green_kernel,
     hermite_gaussian,
     inner_product,
     normalize,
     optimal_input_mode,
     physical_units,
-    polynomial_raw_basis,
+    polynomial_family,
     quadrature_weights,
     scan_alpha,
     simulate,
@@ -131,7 +130,7 @@ class TestGreenKernel:
         par = CavityParams(gamma_s=10.30846024216234, gamma_c=0.01, alpha=5.280618546467441)
         control = gaussian_control(center, grid)
         seed = normalize(optimal_input_mode(par, control))
-        basis = gram_schmidt_family(seed, polynomial_raw_basis(seed, 47, center))
+        basis = polynomial_family(seed, 47, center)
         report = green_kernel(par, control, basis, model="analytic")
         assert report.schmidt_number == 1.0
 
@@ -154,10 +153,26 @@ class TestGreenKernel:
         self, bench_params, control, opt_seed
     ):
         # the paper point's reduced/48 kernel, decomposed through its R factor
-        family = gram_schmidt_family(opt_seed, polynomial_raw_basis(opt_seed, 47, 3.0))
+        family = polynomial_family(opt_seed, 47, 3.0)
         report = green_kernel(bench_params, control, family, model="reduced")
         direct = np.linalg.svd(report.response_matrix, compute_uv=False)
         assert np.abs(report.singular_values - direct).max() <= 1e-15 * direct[0]
+
+    def test_paper_point_spectrum_is_reproducible(self, bench_params, control, opt_seed):
+        # a relative 1e-16 nudge moves some seed samples by one ulp; the
+        # reduced/48 spectrum may move only by rounding (the QR of the
+        # monomials moved sigma_1..sigma_8 by 1.1e-7)
+        rng = np.random.default_rng(0)
+        noise = 1e-16 * rng.standard_normal(control.grid.n_samples)
+        nudged = TemporalSignal(control.grid, opt_seed.values * (1.0 + noise))
+        assert not np.array_equal(nudged.values, opt_seed.values)
+        sv = [
+            green_kernel(
+                bench_params, control, polynomial_family(seed, 47, 3.0), model="reduced"
+            ).singular_values[:8]
+            for seed in (opt_seed, nudged)
+        ]
+        assert np.abs(sv[1] / sv[0] - 1.0).max() < 1e-12
 
     def test_no_coupling_kills_every_singular_value(self, control, family8):
         par = CavityParams(gamma_s=10.1, gamma_c=0.01, alpha=0.0)
@@ -246,7 +261,7 @@ class TestGreenKernel:
         params = CavityParams(**BENCH)
         control = gaussian_control(3.0, TimeGrid(0.0, 10.0, 2001))
         seed = normalize(optimal_input_mode(params, gaussian_control(3.0, basis_grid)))
-        basis = gram_schmidt_family(seed, polynomial_raw_basis(seed, 3, 3.0))
+        basis = polynomial_family(seed, 3, 3.0)
         with pytest.raises(error[basis_grid.n_samples]):
             green_kernel(params, control, basis, model=model)
 
@@ -359,20 +374,22 @@ class TestBatchedKernelMatchesSingleRuns:
         grid = TimeGrid(0.0, 10.0, 101)
         control = gaussian_control(3.0, grid)
         seed = normalize(optimal_input_mode(stiff, control))
-        basis = gram_schmidt_family(seed, polynomial_raw_basis(seed, 7, 3.0))
+        basis = polynomial_family(seed, 7, 3.0)
         expected = _earliest_unbounded_sample(model, stiff, control, basis)
         assert expected == 2
         with pytest.raises(InstabilityError, match=rf"at sample {expected} "):
             green_kernel(stiff, control, basis, model=model)
 
-    def test_large_coupling_kernel_names_the_stepped_sample(self, control):
-        # The reduced steps near the pulse peak are expansive at alpha 300,
-        # and the states outgrow the drive well before any of them overflows.
-        params = CavityParams(gamma_s=10.1, gamma_c=0.0, alpha=300.0)
+    def test_large_coupling_kernel_names_the_stepped_sample(self):
+        # On 301 samples the reduced steps 69..111 near the pulse peak are
+        # expansive at this coupling. Modes 6 and 7 reach into them, and the
+        # states outgrow the drive at the last one while all stay finite.
+        control = gaussian_control(3.0, TimeGrid(0.0, 10.0, 301))
+        params = CavityParams(gamma_s=0.125, gamma_c=0.0, alpha=6.0)
         seed = normalize(optimal_input_mode(params, control))
-        basis = gram_schmidt_family(seed, polynomial_raw_basis(seed, 3, 3.0))
+        basis = polynomial_family(seed, 7, 3.0)
         expected = _earliest_unbounded_sample("reduced", params, control, basis)
-        assert expected == 2636
+        assert expected == 111
         with pytest.raises(InstabilityError, match=rf"at sample {expected} "):
             green_kernel(params, control, basis, model="reduced")
 

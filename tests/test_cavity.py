@@ -17,13 +17,12 @@ from tmcavity import (
     conservation_residual,
     cumulative_integral,
     gaussian_control,
-    gram_schmidt_family,
     green_kernel,
     hermite_gaussian,
     inner_product,
     normalize,
     optimal_input_mode,
-    polynomial_raw_basis,
+    polynomial_family,
     quadrature_weights,
     simulate,
     trajectory_to_csv,
@@ -698,7 +697,7 @@ class TestPhysicsProperties:
         params = CavityParams(gamma_s=10.1, gamma_c=0.01, alpha=alpha)
         control = gaussian_control(center, grid)
         seed = normalize(optimal_input_mode(params, control))
-        family = gram_schmidt_family(seed, polynomial_raw_basis(seed, order, center))
+        family = polynomial_family(seed, order, center)
         matched = abs(simulate(params, control, seed, "analytic").C.values[-1]) ** 2
         mode = TemporalSignal(grid, family[order])
         orthogonal = abs(simulate(params, control, mode, "analytic").C.values[-1]) ** 2

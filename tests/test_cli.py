@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -258,25 +259,23 @@ class TestCliCommands:
         assert "fig2-gaussian" in capsys.readouterr().err
 
     @pytest.mark.filterwarnings("error")
-    def test_overflowing_basis_exits_1_with_one_line(self, tmp_path, capsys):
-        # (t - 3)^365 exceeds double precision at t = 10
-        wide = GOOD_CONFIG.replace(
-            "name = fig2-optimal", "name = green-kernel\nbasis_size = 400"
+    def test_degenerate_basis_exits_1_with_one_line(self, tmp_path, capsys):
+        # 101 samples cannot hold 80 orthonormal modes of the matched seed
+        wide = GOOD_CONFIG.replace("n_samples = 10001", "n_samples = 101").replace(
+            "name = fig2-optimal", "name = green-kernel\nbasis_size = 80"
         )
         path = write_config(tmp_path, wide)
         code = main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
         assert code == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "Traceback" not in err
-        assert "raw vector 364" in err and "overflows" in err
+        assert re.search(r"polynomial mode \d+ is not orthonormal", err)
 
-    @pytest.mark.filterwarnings("error")
-    def test_expansive_kernel_exits_1_with_one_line(self, tmp_path, capsys):
-        # the reduced RK4 steps are expansive here, so no efficiency the
-        # kernel could report would be physical
-        expansive = (
-            GOOD_CONFIG.replace("n_samples = 10001", "n_samples = 1024")
-            .replace("alpha = 5.5", "alpha = 9.0")
+    @staticmethod
+    def _weak_reduced_kernel(n_samples, alpha):
+        return (
+            GOOD_CONFIG.replace("n_samples = 10001", f"n_samples = {n_samples}")
+            .replace("alpha = 5.5", f"alpha = {alpha}")
             .replace("gamma_s = 10.1", "gamma_s = 0.125")
             .replace("gamma_c = 0.01", "gamma_c = 0.0")
             .replace(
@@ -285,12 +284,30 @@ class TestCliCommands:
                 "model = reduced",
             )
         )
-        path = write_config(tmp_path, expansive)
+
+    @pytest.mark.filterwarnings("error")
+    def test_expansive_kernel_exits_1_with_one_line(self, tmp_path, capsys):
+        # the reduced RK4 steps are expansive here, so no efficiency the
+        # kernel could report would be physical
+        path = write_config(tmp_path, self._weak_reduced_kernel(301, 6.0))
         code = main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
         assert code == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "Traceback" not in err
         assert err.startswith("error:") and "at sample" in err
+
+    @pytest.mark.filterwarnings("error")
+    def test_coarse_kernel_with_expansive_steps_converges(self, tmp_path, capsys):
+        # At 1024 samples 111 RK4 steps expand, by e^198 in all, but the
+        # family is below e^-79 on them, so the run stays bounded; its
+        # dominant efficiency is that of a four times finer grid to 1.7e-4.
+        efficiency = {}
+        for n_samples in (1024, 4096):
+            path = write_config(tmp_path, self._weak_reduced_kernel(n_samples, 9.0))
+            out = tmp_path / str(n_samples)
+            assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+            efficiency[n_samples] = load_summary(out)["results"]["dominant_efficiency"]
+        assert efficiency[1024] == pytest.approx(efficiency[4096], abs=3e-4)
 
     def test_matched_input_at_large_alpha_has_no_overflow(self, tmp_path, capsys):
         strong = GOOD_CONFIG.replace("alpha = 5.5", "alpha = 80.0")

@@ -1,6 +1,7 @@
 """Pulse construction, mode families, and orthogonalization contracts."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -22,11 +23,14 @@ from tmcavity import (
     inner_product,
     normalize,
     optimal_input_mode,
-    polynomial_raw_basis,
+    polynomial_family,
     quadrature_weights,
     simulate,
     unconverted_energy,
 )
+from tmcavity.modes import ORTHONORMALITY_TOL
+
+from reference_loops import polynomial_raw_basis
 
 
 class TestGaussianControl:
@@ -169,12 +173,6 @@ class TestGramSchmidtFamily:
         with pytest.raises(DegenerateBasisError):
             gram_schmidt_family(seed, polynomial_raw_basis(seed, 9, 5.0))
 
-    @pytest.mark.filterwarnings("error")
-    def test_overflowing_raw_vector_is_named(self, opt_seed):
-        # the window reaches t - 3 = 7, and 7^365 > 1.8e308
-        with pytest.raises(DegenerateBasisError, match="raw vector 364 overflows"):
-            polynomial_raw_basis(opt_seed, 399, 3.0)
-
     def test_seed_must_be_unit_norm(self, opt_seed):
         bad_seed = TemporalSignal(opt_seed.grid, 1.5 * opt_seed.values)
         with pytest.raises(NonOrthonormalBasisError):
@@ -271,3 +269,94 @@ class TestGramSchmidtProperties:
         raw = np.insert(raw, at, raw[source], axis=0)
         with pytest.raises(DegenerateBasisError, match=rf"raw vector {at} is"):
             gram_schmidt_family(seed, raw)
+
+
+def _long_double_family(seed, count, center):
+    """Arnoldi in long double with double reorthogonalisation: mode k + 1 is
+    (t - center) times mode k, made orthogonal to every earlier mode twice
+    and normalized, so its overlap with its monomial is real and positive."""
+    u = (seed.grid.times - center).astype(np.longdouble)
+    w = quadrature_weights(seed.grid).astype(np.longdouble)
+    modes = np.empty((count + 1, len(u)), np.clongdouble)
+    modes[0] = seed.values
+    modes[0] /= np.sqrt(w @ np.abs(modes[0]) ** 2)
+    for k in range(count):
+        q = u * modes[k]
+        for _ in range(2):
+            q -= (np.conj(modes[: k + 1]) @ (w * q)) @ modes[: k + 1]
+        modes[k + 1] = q / np.sqrt(w @ np.abs(q) ** 2)
+    return modes
+
+
+def _paper_seed(grid):
+    params = CavityParams(gamma_s=10.1, gamma_c=0.01, alpha=5.5)
+    return normalize(optimal_input_mode(params, gaussian_control(3.0, grid)))
+
+
+class TestPolynomialFamily:
+    def test_every_mode_matches_a_long_double_reference(self):
+        # the QR of the monomials is off by 4.5e-2 at mode 47 here
+        seed = _paper_seed(SMALL_GRID)
+        family = polynomial_family(seed, 47, 3.0)
+        reference = _long_double_family(seed, 47, 3.0)
+        assert float(np.abs(family - reference).max()) < 1e-13
+
+    def test_low_orders_match_the_qr_of_the_monomials(self):
+        # the QR's own error, 3.3e-13 at mode 10 here, sets the tolerance
+        seed = _paper_seed(SMALL_GRID)
+        family = polynomial_family(seed, 10, 3.0)
+        qr = gram_schmidt_family(seed, polynomial_raw_basis(seed, 10, 3.0))
+        assert np.abs(family - qr).max() < 1e-12
+
+    def test_four_hundred_modes_are_orthonormal(self, grid10, opt_seed):
+        family = polynomial_family(opt_seed, 399, 3.0)
+        assert family.shape == (400, grid10.n_samples)
+        w = quadrature_weights(grid10)
+        gram = np.concatenate([np.conj(rows) * w @ family.T for rows in np.split(family, 4)])
+        assert np.abs(gram - np.eye(400)).max() < 1e-13
+
+    @settings(max_examples=30, deadline=None)
+    @given(family_inputs)
+    def test_family_is_orthonormal_phased_and_spans_the_monomials(self, inputs):
+        seed, raw = _seed_and_raw(*inputs)
+        vals = polynomial_family(seed, len(raw), inputs[1])
+        assert vals.shape == (len(raw) + 1, SMALL_GRID.n_samples)
+        assert vals.flags.c_contiguous
+        assert np.array_equal(vals[0], seed.values)
+        w = quadrature_weights(SMALL_GRID)
+        gram = np.conj(vals) @ (w * vals).T
+        gram[0, 0] = 1.0  # the seed is unit norm only to the tolerance
+        assert np.abs(gram - np.eye(len(vals))).max() < 1e-13
+        for k, row in enumerate(raw, start=1):
+            overlap = np.conj(vals[k]) @ (w * row)
+            assert overlap.real > 0.0
+            assert abs(overlap.imag) <= 1e-10 * abs(overlap)
+            coeffs = np.conj(vals[: k + 1]) @ (w * row)
+            residual = TemporalSignal(SMALL_GRID, row - coeffs @ vals[: k + 1])
+            vec = TemporalSignal(SMALL_GRID, row)
+            assert (
+                inner_product(residual, residual).real
+                < 1e-18 * inner_product(vec, vec).real
+            )
+
+    def test_seed_must_be_unit_norm(self, opt_seed):
+        bad_seed = TemporalSignal(opt_seed.grid, 1.5 * opt_seed.values)
+        with pytest.raises(NonOrthonormalBasisError, match="seed must be unit norm"):
+            polynomial_family(bad_seed, 3, 3.0)
+        near = TemporalSignal(opt_seed.grid, math.sqrt(1.0 + 2e-9) * opt_seed.values)
+        with pytest.raises(NonOrthonormalBasisError, match="seed must be unit norm"):
+            polynomial_family(near, 3, 3.0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_too_many_modes_for_the_grid_names_the_first_bad_one(self):
+        # 101 samples hold far fewer than 101 modes of this narrow seed
+        grid = TimeGrid(0.0, 10.0, 101)
+        seed = _paper_seed(grid)
+        with pytest.raises(DegenerateBasisError, match="polynomial mode") as info:
+            polynomial_family(seed, 100, 3.0)
+        first = int(re.search(r"polynomial mode (\d+) ", str(info.value)).group(1))
+        with pytest.raises(DegenerateBasisError, match=rf"polynomial mode {first} "):
+            polynomial_family(seed, first, 3.0)
+        family = polynomial_family(seed, first - 1, 3.0)
+        gram = np.conj(family) @ (quadrature_weights(grid) * family).T
+        assert np.abs(gram - np.eye(first)).max() < ORTHONORMALITY_TOL
