@@ -40,7 +40,6 @@ from .errors import (
 )
 from .modes import (
     gaussian_control,
-    gram_schmidt_family,
     hermite_gaussian,
     optimal_input_mode,
     polynomial_family,

@@ -48,9 +48,10 @@ class UnconvertedEnergy:
 
 
 def unconverted_energy(traj: CavityTrajectory) -> UnconvertedEnergy:
-    """Integrated |S_out|^2 over the trajectory window."""
+    """Integrated |S_out|^2 over the trajectory window; inf once it overflows."""
     w = quadrature_weights(traj.grid)
-    density = w * np.abs(traj.S_out.values) ** 2
+    with np.errstate(over="ignore"):  # |S_out| past 1.3e154 squares to inf
+        density = w * np.abs(traj._fields()[0]) ** 2
     total = float(density.sum())
     tail_start = traj.grid.n_samples - max(traj.grid.n_samples // 10, 1)
     tail = float(density[tail_start:].sum())
@@ -70,17 +71,18 @@ def conservation_residual(traj: CavityTrajectory) -> float:
     the nonlinear exchange terms cancel pairwise. Internal loss makes the
     returned value strictly positive. Only the full model stores photons
     in S; a one-band model's S is a pass-through, so it counts C alone.
+    An energy that overflows makes the residual inf.
     """
     w = quadrature_weights(traj.grid)
     e_in = float((w * np.abs(traj.S_in.values) ** 2).sum())
     if e_in <= 0.0:
         raise UndefinedResidualError("zero input energy")
-    e_out = float(
-        (w * (np.abs(traj.S_out.values) ** 2 + np.abs(traj.C_out.values) ** 2)).sum()
-    )
-    stored = abs(traj.C.values[-1]) ** 2
-    if traj.model == "full":
-        stored += abs(traj.S.values[-1]) ** 2
+    s_out, c_out = traj._fields()
+    with np.errstate(over="ignore"):
+        e_out = float((w * (np.abs(s_out) ** 2 + np.abs(c_out) ** 2)).sum())
+        stored = abs(traj.C.values[-1]) ** 2
+        if traj.model == "full":
+            stored += abs(traj.S.values[-1]) ** 2
     return abs(e_in - (stored + e_out)) / e_in
 
 

@@ -122,16 +122,21 @@ class CavityTrajectory:
     params: CavityParams
     model: str
 
+    def _fields(self):
+        """``(S_out, C_out)`` as plain sample arrays."""
+        return _output_fields(
+            self.params, self.model, self.S_in.values, self.S.values, self.C.values
+        )
+
     @property
     def S_out(self) -> TemporalSignal:
         """Reflected signal field, -S_in + sqrt(2 gamma_s) S."""
-        s_out = -self.S_in.values + np.sqrt(2.0 * self.params.gamma_s) * self.S.values
-        return TemporalSignal(self.grid, s_out)
+        return TemporalSignal(self.grid, self._fields()[0])
 
     @property
     def C_out(self) -> TemporalSignal:
         """Leaked converted field, sqrt(2 gamma_c) C, or 0 for the closed form."""
-        return TemporalSignal(self.grid, _leak(self.params, self.model) * self.C.values)
+        return TemporalSignal(self.grid, self._fields()[1])
 
 
 # The step maps' scalar factors are complex: numpy would cast a float one to
@@ -372,6 +377,12 @@ def _leak(params, model):
     return 0.0 if model == "analytic" else math.sqrt(2.0 * params.gamma_c)
 
 
+def _output_fields(params, model, s_in, s, c):
+    """The input-output relations on sample arrays, ``(S_out, C_out)``:
+    S_out = -S_in + sqrt(2 gamma_s) S and C_out = :func:`_leak` * C."""
+    return -s_in + np.sqrt(2.0 * params.gamma_s) * s, _leak(params, model) * c
+
+
 def _unstable(grid, k, what):
     return InstabilityError(
         f"integration unstable: {what} at sample {k} (t = {grid.times[k]:.6g}); "
@@ -420,8 +431,7 @@ def simulate(
                 * np.conj(control.values) * c_arr
                 + np.sqrt(2.0 * params.gamma_s) / params.gamma_tilde_s * s_in.values
             )
-        s_out = -s_in.values + np.sqrt(2.0 * params.gamma_s) * s_arr  # = traj.S_out
-        c_out = _leak(params, model) * c_arr  # = traj.C_out
+        s_out, c_out = _output_fields(params, model, s_in.values, s_arr, c_arr)
     finite = np.isfinite(s_arr) & np.isfinite(s_out) & np.isfinite(c_out)
     if not finite.all():
         k = int(np.argmin(finite))

@@ -8,8 +8,7 @@ modes orthogonal to it; this module builds them all on the shared grid.
 Single modes are :class:`TemporalSignal` objects; a family is a plain
 ``(m, n_samples)`` complex array whose rows are samples on the grid.
 :func:`polynomial_family` builds the scenarios' family, polynomials times
-the matched mode, by their three-term recurrence;
-:func:`gram_schmidt_family` orthonormalizes any other raw vectors.
+the matched mode, by their three-term recurrence.
 """
 
 from __future__ import annotations
@@ -116,55 +115,11 @@ def optimal_input_mode(
     return TemporalSignal(control.grid, vals)
 
 
-def gram_schmidt_family(seed: TemporalSignal, raw_basis: np.ndarray) -> np.ndarray:
-    """Orthonormal family starting from ``seed``, by a weighted QR.
-
-    ``raw_basis`` is a ``(count, n_samples)`` array of raw vectors; the
-    family is returned the same way, as a C-contiguous
-    ``(count + 1, n_samples)`` complex array whose row k is mode k on the
-    seed's grid. Mode 0 is the seed itself, which must be unit norm on its
-    grid to within :data:`ORTHONORMALITY_TOL`; mode k + 1 is the part of raw
-    vector k orthogonal to the seed and to every earlier raw vector,
-    normalized and phased so that its overlap with raw vector k is real and
-    positive. This is Gram-Schmidt computed as one Householder QR of the
-    quadrature-weighted vectors, so the rows are orthonormal by
-    construction. A raw vector that is not finite, whose weighted norm
-    overflows, or whose post-projection norm (the R diagonal) falls below
-    1e-8 raises :class:`DegenerateBasisError` naming its index.
-    """
-    _require_unit_seed(seed)
-    bad = np.flatnonzero(~np.isfinite(raw_basis).all(axis=1))
-    if bad.size:
-        raise DegenerateBasisError(f"raw vector {bad[0]} is not finite")
-    sqw = np.sqrt(quadrature_weights(seed.grid))
-    with np.errstate(over="ignore", invalid="ignore"):
-        q, r = np.linalg.qr((np.vstack((seed.values, raw_basis)) * sqw).T)
-    # A reduced QR has min(n_samples, count + 1) columns; any raw vector
-    # beyond that is necessarily dependent and keeps a zero norm here. The
-    # raw vectors are finite, so a non-finite norm is one that overflowed.
-    norms = np.zeros(len(raw_basis) + 1)
-    norms[: len(r)] = np.abs(np.diagonal(r))
-    bad = np.flatnonzero(~(np.isfinite(norms[1:]) & (norms[1:] >= 1e-8)))
-    if bad.size and not np.isfinite(norms[bad[0] + 1]):
-        raise DegenerateBasisError(
-            f"raw vector {bad[0]} has a weighted norm that overflows double precision"
-        )
-    if bad.size:
-        raise DegenerateBasisError(
-            f"raw vector {bad[0]} is linearly dependent on the family "
-            f"(post-projection norm {norms[bad[0] + 1]:.3e})"
-        )
-    q *= np.diagonal(r) / norms
-    q /= sqw[:, None]
-    q[:, 0] = seed.values
-    return np.ascontiguousarray(q.T)
-
-
 def polynomial_family(seed: TemporalSignal, count: int, center: float) -> np.ndarray:
     """Orthonormal family p_k(t - center) * seed, k = 0..count, by recurrence.
 
-    Returned like :func:`gram_schmidt_family`: a C-contiguous
-    ``(count + 1, n_samples)`` complex array whose mode 0 is the seed, which
+    Returned as a C-contiguous ``(count + 1, n_samples)`` complex array
+    whose row k is mode k on the seed's grid. Mode 0 is the seed, which
     must be unit norm to within :data:`ORTHONORMALITY_TOL`. The real p_k are
     orthonormal under the weight ``|seed|^2`` times the trapezoid weights,
     so the family spans the monomials (t - center)^k * seed, and mode k has

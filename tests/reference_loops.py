@@ -2,23 +2,25 @@
 tested against, and the source of the samples their passivity check names.
 Also the closed form as written, the oracle of its stepped evaluation, and
 the step maps built by stepping the unit vectors through a generic rhs, the
-oracle of the per-entry maps. And the monomial raw vectors whose QR is the
-low-order reference of the polynomial family's recurrence."""
+oracle of the per-entry maps. And the monomial raw vectors and the QR that
+orthonormalizes them, the low-order reference of the polynomial family's
+recurrence."""
 
 import math
 import re
 
 import numpy as np
 
-from tmcavity import DegenerateBasisError, cumulative_integral
+from tmcavity import DegenerateBasisError, cumulative_integral, quadrature_weights
 from tmcavity.cavity import _STEP_BLOCK
+from tmcavity.modes import _require_unit_seed
 
 
 def polynomial_raw_basis(seed, count, center):
     """Raw vectors (t - center)^k * seed for k = 1..count, as ``(count, n)`` rows.
 
-    Fed to :func:`tmcavity.gram_schmidt_family` they give the polynomial
-    family by a complex QR; the monomials are ill-conditioned, so the two
+    Fed to :func:`gram_schmidt_family` they give the polynomial family by a
+    complex QR; the monomials are ill-conditioned, so the two
     agree only at low order. A row that overflows raises
     :class:`DegenerateBasisError`.
     """
@@ -29,6 +31,46 @@ def polynomial_raw_basis(seed, count, center):
     if bad.size:
         raise DegenerateBasisError(f"raw vector {bad[0]} overflows double precision")
     return raw
+
+
+def gram_schmidt_family(seed, raw_basis):
+    """The seed and the ``(count, n)`` raw vectors orthonormalized in order,
+    as ``(count + 1, n)`` rows, by one Householder QR of the
+    quadrature-weighted vectors: Gram-Schmidt, orthonormal by construction.
+
+    Mode 0 is the seed itself, which must be unit norm; mode k + 1 is the
+    part of raw vector k orthogonal to the earlier ones, phased so that its
+    overlap with raw vector k is real and positive. A raw vector that is not
+    finite, whose weighted norm overflows, or whose post-projection norm (the
+    R diagonal) falls below 1e-8 raises :class:`DegenerateBasisError`
+    naming its index.
+    """
+    _require_unit_seed(seed)
+    bad = np.flatnonzero(~np.isfinite(raw_basis).all(axis=1))
+    if bad.size:
+        raise DegenerateBasisError(f"raw vector {bad[0]} is not finite")
+    sqw = np.sqrt(quadrature_weights(seed.grid))
+    with np.errstate(over="ignore", invalid="ignore"):
+        q, r = np.linalg.qr((np.vstack((seed.values, raw_basis)) * sqw).T)
+    # A reduced QR has min(n_samples, count + 1) columns; any raw vector
+    # beyond that is necessarily dependent and keeps a zero norm here. The
+    # raw vectors are finite, so a non-finite norm is one that overflowed.
+    norms = np.zeros(len(raw_basis) + 1)
+    norms[: len(r)] = np.abs(np.diagonal(r))
+    bad = np.flatnonzero(~(np.isfinite(norms[1:]) & (norms[1:] >= 1e-8)))
+    if bad.size and not np.isfinite(norms[bad[0] + 1]):
+        raise DegenerateBasisError(
+            f"raw vector {bad[0]} has a weighted norm that overflows double precision"
+        )
+    if bad.size:
+        raise DegenerateBasisError(
+            f"raw vector {bad[0]} is linearly dependent on the family "
+            f"(post-projection norm {norms[bad[0] + 1]:.3e})"
+        )
+    q *= np.diagonal(r) / norms
+    q /= sqw[:, None]
+    q[:, 0] = seed.values
+    return np.ascontiguousarray(q.T)
 
 
 def reference_closed_form(params, control, s_in):

@@ -226,6 +226,7 @@ class TestSimulateReduced:
         assert np.abs(traj.S.values - expected_s).max() < 1e-15
 
 
+@pytest.mark.seeded
 class TestAnalyticConversion:
     def test_matched_input_closed_form_efficiency(self):
         # continuum identity at 1e-8: needs a fine grid and generous margins
@@ -358,6 +359,7 @@ class TestTrajectoryCsv:
         assert len(lines) == 1 + traj_gaussian_input.grid.n_samples
 
 
+@pytest.mark.seeded
 class TestStepMapsMatchScalarLoops:
     """The per-step affine maps reproduce the scalar RK4 loops they replaced."""
 
@@ -410,6 +412,7 @@ def _step_maps(model, params, control, rows):
     return cavity._step_maps(cavity._reduced_rhs(params, control), 1, control, rows)
 
 
+@pytest.mark.seeded
 class TestDriveLinearStepMaps:
     """More than 2 drive rows are stepped as the two drives 1 and (-1)^k;
     each row's maps match stepping that row alone."""
@@ -481,6 +484,7 @@ def step_map_inputs(draw, n, rows):
     return control, drive
 
 
+@pytest.mark.seeded
 class TestStepMapsMatchUnitVectorStepping:
     """The per-entry step maps are the bits of stepping the unit vectors and
     the drives through the whole rhs, as the generic stepper did."""
@@ -520,6 +524,7 @@ class TestStepMapsMatchUnitVectorStepping:
         assert np.isinf(old).any() and np.isnan(old).any() and np.isfinite(old).any()
 
 
+@pytest.mark.seeded
 class TestStepBlock:
     """Each map entry is elementwise per step, so the block size sets only
     how many numpy calls a build makes, never a bit of the maps."""
@@ -647,6 +652,7 @@ class TestPhysicsProperties:
             scaled = 1e161 * getattr(got, field).values
             assert np.abs(scaled - getattr(want, field).values).max() < 1e-12
 
+    @pytest.mark.seeded
     @pytest.mark.parametrize("model", MODELS)
     @settings(max_examples=20, deadline=None)
     @given(

@@ -14,9 +14,11 @@ The budget admits the last-digit drift of another Python/numpy build
 about six orders of magnitude tighter than the 1e-6 dt-halving accuracy the
 integrators promise, so any change to the numerics shows. It is the budget
 ``perfbench/checks.py`` applies at seed 0. Regenerate deliberately with
-``python scripts/regen_goldens.py`` after an intentional numerical change.
+``python scripts/regen_goldens.py`` after an intentional numerical change;
+its ``--headroom`` prints how much of its budget each float has used.
 """
 
+import importlib.util
 import json
 import time
 from pathlib import Path
@@ -57,3 +59,30 @@ def test_summary_matches_golden(stem, tmp_path):
     with open(golden_path, "r", encoding="utf-8") as fh:
         golden = json.load(fh)
     assert summary == within_budget(golden)
+
+
+def test_headroom_is_each_floats_drift_over_its_budget():
+    path = Path(__file__).parent.parent / "scripts" / "regen_goldens.py"
+    spec = importlib.util.spec_from_file_location("regen_goldens", path)
+    regen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(regen)
+    golden = {
+        "config": {"alpha": 5.5},
+        "results": {"w_out": 0.25, "conservation_residual": 1e-7, "sv": [2.0, 0.0], "n": 3},
+    }
+    rerun = {
+        "config": {"alpha": 9.0},
+        "results": {
+            "w_out": 0.25 * (1 + 0.5 * REL_BUDGET),
+            "conservation_residual": 1e-7 + 2 * ABS_BUDGET,
+            "sv": [2.0, 1e-300],
+            "n": 4,
+        },
+    }
+    got = dict(regen.drifts(golden, rerun))
+    assert set(got) == {"results.w_out", "results.conservation_residual",
+                        "results.sv[0]", "results.sv[1]"}
+    assert got["results.w_out"] == pytest.approx(0.5, rel=1e-3)
+    assert got["results.conservation_residual"] == pytest.approx(2.0, rel=1e-3)
+    assert got["results.sv[0]"] == 0.0
+    assert got["results.sv[1]"] == float("inf")  # a golden 0 must stay exactly 0

@@ -156,6 +156,7 @@ class TestCumulativeIntegral:
             assert area == pytest.approx(inner_product(f, f).real, abs=1e-12)
 
 
+@pytest.mark.seeded
 class TestPulseAreaMemo:
     """The pulse area of a control is built once, kept read-only, and
     dropped with the control."""
