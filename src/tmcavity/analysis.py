@@ -71,14 +71,17 @@ def conservation_residual(traj: CavityTrajectory) -> float:
     the nonlinear exchange terms cancel pairwise. Internal loss makes the
     returned value strictly positive. Only the full model stores photons
     in S; a one-band model's S is a pass-through, so it counts C alone.
-    An energy that overflows makes the residual inf.
+    An output or stored energy that overflows makes the residual inf; a
+    zero or overflowing input energy raises :class:`UndefinedResidualError`.
     """
     w = quadrature_weights(traj.grid)
-    e_in = float((w * np.abs(traj.S_in.values) ** 2).sum())
-    if e_in <= 0.0:
-        raise UndefinedResidualError("zero input energy")
     s_out, c_out = traj._fields()
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):  # an amplitude past 1.3e154 squares to inf
+        e_in = float((w * np.abs(traj.S_in.values) ** 2).sum())
+        if e_in <= 0.0:
+            raise UndefinedResidualError("zero input energy")
+        if not math.isfinite(e_in):
+            raise UndefinedResidualError("input energy overflows")
         e_out = float((w * (np.abs(s_out) ** 2 + np.abs(c_out) ** 2)).sum())
         stored = abs(traj.C.values[-1]) ** 2
         if traj.model == "full":
@@ -97,6 +100,8 @@ class SchmidtReport:
     unit-energy input. ``input_modes`` holds the right singular vectors
     mapped back to ``(m, n_samples)`` rows on the control's grid, dominant
     first; they are orthonormal because the basis is and ``vh`` is unitary.
+    Each mode's phase is fixed so that its largest-magnitude basis
+    coefficient is real and positive (the first such on a tie).
     """
 
     singular_values: np.ndarray
@@ -129,9 +134,10 @@ def green_kernel(
     a shifted window with the same dt and sample count read as samples on
     the control's grid, and a different dt fails the orthonormality check.
     All modes run in one batched pass. The SVD is taken of the kernel's
-    ``(m, m)`` QR factor R, which has the kernel's singular values and right
-    vectors. The dominant right singular vector is the best-converting input
-    within the basis span. The closed form drops the slow decay, so nothing
+    ``(m, m)`` QR factor R, factored by row blocks (see :func:`_r_factor`),
+    which has the kernel's singular values and right vectors. The dominant
+    right singular vector is the best-converting input within the basis
+    span. The closed form drops the slow decay, so nothing
     leaks and its kernel is exactly rank 1.
     """
     grid = control.grid
@@ -142,26 +148,37 @@ def green_kernel(
         )
     if len(basis) < 2:
         raise ValueError("basis must contain at least 2 modes")
-    # conj(basis) * w is built in place, so the check adds one (m, n) array.
+    # For b = x + i y, conj(b_j) b_k = x_j x_k + y_j y_k + i (x_j y_k - y_j x_k):
+    # one real product of the sqrt(w)-weighted rows [x; y] with themselves
+    # (a syrk) holds the Gram; the rows take as many bytes as the basis.
+    m = len(basis)
     with np.errstate(over="ignore", invalid="ignore"):  # bad rows fail the check
-        gram = np.conj(basis)
-        gram *= quadrature_weights(grid)
-        gram = gram @ basis.T
-    gram[np.diag_indices_from(gram)] -= 1.0
-    worst = float(np.abs(gram).max())
+        rows = np.concatenate((basis.real, basis.imag))
+        rows *= np.sqrt(quadrature_weights(grid))
+        prod = rows @ rows.T
+        del rows
+        re = prod[:m, :m] + prod[m:, m:]
+        re[np.diag_indices(m)] -= 1.0
+        worst = float(np.hypot(re, prod[:m, m:] - prod[m:, :m]).max())
     if not worst < ORTHONORMALITY_TOL:  # also rejects NaN
         raise NonOrthonormalBasisError(
             f"pairwise inner products deviate from identity by {worst:.3e}"
         )
-    matrix = np.empty((grid.n_samples + 1, len(basis)), complex, order="F")
-    matrix[1:] = _integrate(params, model, control, basis)[-1].T
+    states = _integrate(params, model, control, basis)
+    matrix = np.empty((grid.n_samples + 1, m), complex, order="F")
+    matrix[1:] = states[-1].T
+    del states
     matrix[0] = matrix[-1]
     matrix[1:] *= _leak(params, model)
     matrix[1:] *= np.sqrt(quadrature_weights(grid))[:, None]
 
     # matrix = Q R with orthonormal Q, so R has its singular values and
     # right vectors; the (n + 1, m) left vectors are never formed
-    sv, vh = np.linalg.svd(np.linalg.qr(matrix, mode="r"))[1:]
+    sv, vh = np.linalg.svd(_r_factor(matrix))[1:]
+    # the SVD leaves each right vector's phase free: fix it by the rule
+    # documented on SchmidtReport.input_modes
+    top = vh[np.arange(m), np.argmax(np.abs(vh), axis=1)]
+    vh *= (np.abs(top) / top)[:, None]
     efficiencies = sv**2
     if sv[0] > 0.0:
         # scale-free, so no power of sv can overflow; >= 1 by Cauchy-Schwarz,
@@ -178,6 +195,20 @@ def green_kernel(
         schmidt_number=schmidt,
         response_matrix=matrix,
     )
+
+
+_QR_ROWS = 1024
+
+
+def _r_factor(a):
+    """The R of a = Q R, by row blocks (TSQR): one QR per block of
+    ``max(_QR_ROWS, 4 m)`` rows, then one of the stacked block R's. Each QR
+    copies only its block, where one ``np.linalg.qr`` of ``a`` copies it
+    whole. The R is that of one QR up to rounding and a unit phase per row,
+    which leaves its singular values and right vectors unchanged."""
+    step = max(_QR_ROWS, 4 * a.shape[1])
+    rs = [np.linalg.qr(a[k : k + step], mode="r") for k in range(0, len(a), step)]
+    return rs[0] if len(rs) == 1 else np.linalg.qr(np.concatenate(rs), mode="r")
 
 
 @dataclass(frozen=True)

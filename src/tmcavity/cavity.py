@@ -229,7 +229,7 @@ def _reduced_rhs(params, control):
 _STEP_BLOCK = 2048
 
 
-def _step_maps(columns, dim, control, drives):
+def _step_maps(columns, dim, control, drives, x):
     """Fixed RK4 steps of the whole window as affine maps x -> M x + V.
 
     ``columns`` holds a model's stage formulas, ``_full_rhs(params,
@@ -241,33 +241,38 @@ def _step_maps(columns, dim, control, drives):
     start's exact zeros and ones, and keep every other term as stepping
     the unit vectors through the whole rhs computed it, in the same order,
     so the maps are the same bits as that stepping for finite control
-    factors. The steps are taken in blocks of _STEP_BLOCK into one
-    ``(dim, dim + m, n_steps)`` array: M_k is ``[:, :dim, k]`` and V_k is
-    ``[:, dim:, k]``. Each entry is elementwise per step, so the block size
-    cannot change a bit: it sets only the number of numpy calls and the
-    size of the temporaries. 2048 was the fastest of 1024 to 4096 for a
-    three-model alpha sweep at 10001 samples, on a 2-vCPU x86 host with
-    48 KB L1d and 2 MB L2 per core.
+    factors. M is returned as ``(dim, dim, n_steps)``, and V_k is written
+    into slot k + 1 of the ``(dim, m, n_samples)`` state array ``x``, where
+    :func:`_affine_scan` turns it into the state x_{k+1}; slot 0 is left
+    as it was. The steps are taken in blocks of _STEP_BLOCK. Each entry is
+    elementwise per step, so the block size cannot change a bit: it sets
+    only the number of numpy calls and the size of the temporaries. 2048
+    was the fastest of 1024 to 4096 for a three-model alpha sweep at 10001
+    samples, on a 2-vCPU x86 host with 48 KB L1d and 2 MB L2 per core.
 
     More than 2 rows cost as much as 2. A step is linear in the drive at
     its two ends, V_k = P_k s_k + Q_k s_{k+1}, so the drives 1 and (-1)^k,
-    which step to P + Q and (-1)^k (P - Q), give every row's V as one
-    broadcast product. It agrees with stepping the row itself to rounding,
+    which step to P + Q and (-1)^k (P - Q), give every row's V by
+    broadcast products. It agrees with stepping the row itself to rounding,
     and M is the same bits. Up to 2 rows are stepped themselves, as cheaply.
     """
     dt, n_steps = control.grid.dt, control.grid.n_samples - 1
+    v = x[:, :, 1:]
     if len(drives) > 2:
         alt = (-1.0) ** np.arange(n_steps + 1)
-        unit = _step_maps(columns, dim, control, np.stack((np.ones_like(alt), alt)))
-        plus, minus = unit[:, dim], alt[:-1] * unit[:, dim + 1]
+        unit = np.empty((dim, 2, n_steps + 1), dtype=complex)
+        m = _step_maps(columns, dim, control, np.stack((np.ones_like(alt), alt)), unit)
+        plus, minus = unit[:, 0, 1:], alt[:-1] * unit[:, 1, 1:]
         p, q = 0.5 * (plus + minus), 0.5 * (plus - minus)
-        maps = np.empty((dim, dim + len(drives), n_steps), dtype=complex)
-        maps[:, :dim] = unit[:, :dim]
-        np.multiply(p[:, None], drives[:, :-1], out=maps[:, dim:])
-        maps[:, dim:] += q[:, None] * drives[:, 1:]
-        return maps
+        # in step blocks, so the product Q s_{k+1} needs no (dim, m, n_steps)
+        # temporary; a row at a time would round a one-step product apart
+        for k0 in range(0, n_steps, _STEP_BLOCK):
+            k1 = min(k0 + _STEP_BLOCK, n_steps)
+            np.multiply(p[:, None, k0:k1], drives[:, k0:k1], out=v[:, :, k0:k1])
+            v[:, :, k0:k1] += q[:, None, k0:k1] * drives[:, k0 + 1 : k1 + 1]
+        return m
     drives = np.asarray(drives, dtype=complex)
-    maps = np.empty((dim, dim + len(drives), n_steps), dtype=complex)
+    m = np.empty((dim, dim, n_steps), dtype=complex)
     for k0 in range(0, n_steps, _STEP_BLOCK):
         k1 = min(k0 + _STEP_BLOCK, n_steps)
         f0, f1 = drives[:, k0:k1], drives[:, k0 + 1 : k1 + 1]
@@ -275,20 +280,24 @@ def _step_maps(columns, dim, control, drives):
         # differently from any other, so (1,) by (1, 1) would change bits
         rows = zip(f0, 0.5 * (f0 + f1), f1)
         for j, column in enumerate(columns(k0, k1, rows)):
-            for i, (x, k) in enumerate(column):
-                _rk4(x, k, dt, maps[i, j, k0:k1])
-    return maps
+            out = m[:, j] if j < dim else v[:, j - dim]
+            for i, (x0, k) in enumerate(column):
+                _rk4(x0, k, dt, out[i, k0:k1])
+    return m
 
 
-def _closed_form_maps(params, control, drives):
-    """The closed form's trapezoid rule as steps C -> M C + V, laid out as
-    :func:`_step_maps` with dim 1. With a = f_s eps, M_k = exp(a_k - a_{k+1})
-    and V_k = (i g_s dt / 2)(M_k Omega_k s_k + Omega_{k+1} s_{k+1}); a never
-    decreases, so no factor exceeds 1 or can overflow, whatever f_s."""
+def _closed_form_maps(params, control, drives, x):
+    """The closed form's trapezoid rule as steps C -> M C + V, returned and
+    written into ``x`` as by :func:`_step_maps` with dim 1. With a = f_s eps,
+    M_k = exp(a_k - a_{k+1}) and V_k = (i g_s dt / 2)(M_k Omega_k s_k +
+    Omega_{k+1} s_{k+1}); a never decreases, so no factor exceeds 1 or can
+    overflow, whatever f_s."""
     a = params.f_s * _pulse_area(control)
     m = np.exp(a[:-1] - a[1:])
     drive = 0.5j * params.g_s * control.grid.dt * control.values * drives
-    return np.concatenate((m[None], m * drive[:, :-1] + drive[:, 1:]))[None]
+    np.multiply(m, drive[:, :-1], out=x[0, :, 1:])
+    x[0, :, 1:] += drive[:, 1:]
+    return m[None, None]
 
 
 def _apply(m, x):
@@ -299,24 +308,24 @@ def _apply(m, x):
     return out
 
 
-def _affine_scan(m, v, x):
-    """Write the states x_1..x_n of x_{k+1} = M_k x_k + V_k from x_0 = 0 into ``x``.
+def _affine_scan(m, x):
+    """Solve x_{k+1} = M_k x_k + V_k from x_0 = 0 in place: ``x`` holds
+    V_0..V_{n-1} on entry and the states x_1..x_n on return.
 
-    ``m`` is ``(dim, dim, n)``, and ``v`` and ``x`` are ``(dim, c, n)``.
-    Odd-even reduction: each pair of steps composes into one map, the
-    half-length problem gives every even state, and one more step from each
-    gives the odd state after it. That is O(n) work in O(log n) numpy calls.
+    ``m`` is ``(dim, dim, n)`` and ``x`` is ``(dim, c, n)``. Odd-even
+    reduction: each pair of steps composes into one map, whose drive
+    M_odd V_even + V_odd replaces the odd slot; the half-length problem on
+    the odd slots gives every even state, and one more step from each,
+    M x_prev + V, gives the odd state after it. That is O(n) work in
+    O(log n) numpy calls, and no copy of the drives.
     """
-    n = v.shape[2]
-    x[:, :, 0] = v[:, :, 0]
+    n = x.shape[2]
     if n == 1:
         return
-    h, odd_m, even = n // 2, m[:, :, 1::2], x[:, :, 1::2]
-    pair_v = _apply(odd_m, v[:, :, : 2 * h : 2])
-    pair_v += v[:, :, 1::2]
-    _affine_scan(_apply(odd_m, m[:, :, : 2 * h : 2]), pair_v, even)
-    x[:, :, 2::2] = _apply(m[:, :, 2::2], even[:, :, : (n - 1) // 2])
-    x[:, :, 2::2] += v[:, :, 2::2]
+    h, odd_m = n // 2, m[:, :, 1::2]
+    x[:, :, 1::2] += _apply(odd_m, x[:, :, : 2 * h : 2])
+    _affine_scan(_apply(odd_m, m[:, :, : 2 * h : 2]), x[:, :, 1::2])
+    x[:, :, 2::2] += _apply(m[:, :, 2::2], x[:, :, 1 : n - 1 : 2])
 
 
 def _norms(a):
@@ -335,8 +344,9 @@ def _integrate(params, model, control, drives):
     """Amplitudes of an empty cavity under every drive row, ``(dim, m, n_samples)``.
 
     ``model`` picks the steps: RK4 of the full (S, C) or reduced (C) model,
-    or the closed form's trapezoid (C). Each solves X_{k+1} = M_k X_k + V_k
-    with :func:`_affine_scan`, on all drive rows at once. The cavity is
+    or the closed form's trapezoid (C). Each writes the drives V_k into
+    the state array and solves X_{k+1} = M_k X_k + V_k there with
+    :func:`_affine_scan`, on all drive rows at once. The cavity is
     passive, so no state of a row can exceed the drive fed in so far,
     Sum_{j<k} |V_j|; :class:`InstabilityError` names the first sample that
     does, by more than 1e-9 of the row's whole-run sum (a non-finite state
@@ -346,23 +356,24 @@ def _integrate(params, model, control, drives):
         raise ValueError(f"model must be one of {MODELS}, got {model!r}")
     grid = control.grid
     dim = 2 if model == "full" else 1
-    x = np.zeros((dim, len(drives), grid.n_samples), dtype=complex)
-    bound = np.zeros((len(drives), grid.n_samples))
+    x = np.empty((dim, len(drives), grid.n_samples), dtype=complex)
     with np.errstate(all="ignore"):
         if model == "analytic":
-            maps = _closed_form_maps(params, control, drives)
+            m = _closed_form_maps(params, control, drives, x)
         else:
             rhs = _full_rhs if model == "full" else _reduced_rhs
-            maps = _step_maps(rhs(params, control), dim, control, drives)
-        m, v = maps[:, :dim], maps[:, dim:]
-        driven = np.flatnonzero(v.any(axis=(0, 1)))
-        if driven.size:
-            # x is exactly 0 up to the first driven step; composing the
-            # undriven steps before it could only give inf * 0 = NaN
-            k0 = driven[0]
-            _affine_scan(m[:, :, k0:], v[:, :, k0:], x[:, :, k0 + 1 :])
+            m = _step_maps(rhs(params, control), dim, control, drives, x)
+        v = x[:, :, 1:]
+        bound = np.zeros((len(drives), grid.n_samples))
         np.cumsum(_norms(v), axis=1, out=bound[:, 1:])
-        del maps, m, v
+        driven = np.flatnonzero(v.any(axis=(0, 1)))
+        k0 = driven[0] if driven.size else v.shape[2]
+        # x is exactly 0 up to the first driven step, where a drive may be
+        # -0.0; composing the undriven steps could only give inf * 0 = NaN
+        x[:, :, : k0 + 1] = 0.0
+        if driven.size:
+            _affine_scan(m[:, :, k0:], x[:, :, k0 + 1 :])
+        del m
         bound += 1e-9 * bound[:, -1:]
         # capped, so no inf or NaN state passes where the drive sum is not finite
         np.fmin(bound, np.finfo(float).max, out=bound)

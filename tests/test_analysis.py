@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -102,6 +103,22 @@ class TestConservationResidual:
         assert np.abs(traj.S_out.values).max() > 1.3e154
         assert unconverted_energy(traj).value == math.inf
         assert conservation_residual(traj) == math.inf
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("model", ["full", "reduced", "analytic"])
+    def test_overflowing_input_energy_is_undefined_without_a_warning(self, model):
+        # |S_in|^2 = 1e320 overflows, as unconverted_energy's |S_out|^2 does
+        grid = TimeGrid(0.0, 1.0, 3)
+        ones = TemporalSignal(grid, np.ones(3))
+        traj = simulate(
+            CavityParams(gamma_s=1.0, gamma_c=0.0, alpha=1.0),
+            ones,
+            TemporalSignal(grid, 1e160 * np.ones(3)),
+            model,
+        )
+        assert unconverted_energy(traj).value == math.inf
+        with pytest.raises(UndefinedResidualError, match="input energy overflows"):
+            conservation_residual(traj)
 
 
 class TestGreenKernel:
@@ -247,6 +264,53 @@ class TestGreenKernel:
         row[5] = bad
         with pytest.raises(NonOrthonormalBasisError):
             green_kernel(CavityParams(**BENCH), seed, np.array([seed.values, row]))
+
+    def test_gram_check_reads_the_complex_gram(self, bench_params, control, family8):
+        # the real product of the stacked [Re; Im] rows reports the deviation
+        # of the complex Gram conj(B) W B^T from the identity
+        basis = family8[:3].copy()
+        basis[1] += 1e-6j * basis[0]
+        gram = (np.conj(basis) * quadrature_weights(control.grid)) @ basis.T
+        want = np.abs(gram - np.eye(3)).max()
+        with pytest.raises(NonOrthonormalBasisError) as info:
+            green_kernel(bench_params, control, basis)
+        assert float(str(info.value).split()[-1]) == pytest.approx(want, rel=1e-3)
+
+    @pytest.mark.parametrize("model", ["full", "reduced"])
+    def test_row_blocked_r_gives_the_one_block_input_modes(
+        self, bench_params, control, family8, model, monkeypatch
+    ):
+        # the blocked and the one-block R differ by rounding and a phase per
+        # row, and the SVD picks each right vector's phase; the rule pins it
+        blocked = green_kernel(bench_params, control, family8, model=model)
+        monkeypatch.setattr(analysis, "_QR_ROWS", control.grid.n_samples + 1)
+        one = green_kernel(bench_params, control, family8, model=model)
+        assert np.array_equal(blocked.response_matrix, one.response_matrix)
+        assert np.abs(blocked.singular_values - one.singular_values).max() <= 1e-15
+        assert np.abs(blocked.input_modes - one.input_modes).max() <= 1e-12
+
+    def test_input_modes_lead_with_a_real_positive_coefficient(
+        self, kernel_report_full, control, family8
+    ):
+        w = quadrature_weights(control.grid)
+        coeffs = kernel_report_full.input_modes @ (np.conj(family8) * w).T
+        top = coeffs[np.arange(len(coeffs)), np.abs(coeffs).argmax(axis=1)]
+        assert (top.real > 0.0).all()
+        assert np.abs(top.imag).max() <= 1e-12
+
+    def test_kernel_peaks_below_three_basis_arrays(self, bench_params, control, opt_seed):
+        # the states, into which the step drives are built, and then the
+        # response matrix are the two basis-sized arrays the kernel needs;
+        # combined step maps, scan copies or a whole-matrix QR copy add more
+        basis = polynomial_family(opt_seed, 47, 3.0)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            green_kernel(bench_params, control, basis, model="reduced")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * basis.nbytes
 
     def test_memory_order_of_the_basis_is_invisible(self):
         grid = TimeGrid(0.0, 10.0, 2001)

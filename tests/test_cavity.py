@@ -278,7 +278,8 @@ class TestAnalyticConversion:
         # f_s eps never decreases, so every step factor lies in [0, 1]
         control, s_in = signals
         par = CavityParams(gamma_s=gamma_s, gamma_c=0.0, alpha=alpha)
-        maps = cavity._closed_form_maps(par, control, s_in.values[None])
+        x = np.empty((1, 1, control.grid.n_samples), dtype=complex)
+        maps = _combined(cavity._closed_form_maps(par, control, s_in.values[None], x), x)
         assert np.isfinite(maps).all()
         assert (np.abs(maps[0, 0]) <= 1.0).all()
 
@@ -405,11 +406,18 @@ class TestStepMapsMatchScalarLoops:
         assert named_sample(info.value) == expected
 
 
+def _combined(m, x):
+    """The maps M and the drives V written into the state array ``x``, as one
+    ``(dim, dim + m, n_steps)`` array: M_k is ``[:, :dim, k]``, V_k ``[:, dim:, k]``."""
+    return np.concatenate((m, x[:, :, 1:]), axis=1)
+
+
 def _step_maps(model, params, control, rows):
-    """The step maps of ``model`` under drive ``rows``."""
-    if model == "full":
-        return cavity._step_maps(cavity._full_rhs(params, control), 2, control, rows)
-    return cavity._step_maps(cavity._reduced_rhs(params, control), 1, control, rows)
+    """The step maps of ``model`` under drive ``rows``, laid out by :func:`_combined`."""
+    dim = 2 if model == "full" else 1
+    rhs = cavity._full_rhs if model == "full" else cavity._reduced_rhs
+    x = np.empty((dim, len(rows), control.grid.n_samples), dtype=complex)
+    return _combined(cavity._step_maps(rhs(params, control), dim, control, rows, x), x)
 
 
 @pytest.mark.seeded
@@ -437,6 +445,23 @@ class TestDriveLinearStepMaps:
             assert np.array_equal(maps[:, :dim], alone[:, :dim])
             v = alone[:, dim]
             assert np.abs(maps[:, dim + j] - v).max() <= 1e-14 * np.abs(v).max()
+
+    @pytest.mark.parametrize("model", ["full", "reduced"])
+    def test_undriven_leading_states_stay_positive_zero(self, model):
+        # Under a complex control, P_k and Q_k have both parts, so a zero
+        # drive steps to -0.0 in places; the states before the first driven
+        # step are still the empty start, +0.0 in every bit.
+        grid = TimeGrid(0.0, 10.0, 41)
+        rng = np.random.default_rng(0)
+        samples = rng.standard_normal((4, 41)) + 1j * rng.standard_normal((4, 41))
+        control, rows = TemporalSignal(grid, samples[0]), samples[1:]
+        rows[:, :20] = 0.0
+        par, dim = CavityParams(**BENCH), 2 if model == "full" else 1
+        v = _step_maps(model, par, control, rows)[:, dim:, :19]
+        assert not v.any() and (np.signbit(v.real) | np.signbit(v.imag)).any()
+        x = cavity._integrate(par, model, control, rows)
+        assert not x[:, :, :20].view(np.uint64).any()
+        assert x[:, :, 20].all()
 
 
 # rates from about 1e80 on overflow the RK4 stages: the maps hold inf and NaN
@@ -578,8 +603,8 @@ class TestAffineScan:
             x = m_k @ x + v_k
             expected.append(x)
         expected = np.stack(expected, axis=2)
-        got = np.empty_like(expected)
-        cavity._affine_scan(m.transpose(1, 2, 0), v.transpose(1, 2, 0), got)
+        got = v.transpose(1, 2, 0).copy()
+        cavity._affine_scan(m.transpose(1, 2, 0), got)
         assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
 
     def test_undriven_expansive_stretch_stays_on_the_scan(self, monkeypatch):
