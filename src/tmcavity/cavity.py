@@ -464,4 +464,4 @@ def trajectory_to_csv(traj: CavityTrajectory, path) -> None:
     """Write a trajectory's state as one CSV row per sample at full precision."""
     s, c, a = traj.S.values, traj.C.values, np.abs(traj.control.values)
     header = ("t", "S_re", "S_im", "C_re", "C_im", "control_abs")
-    _write_csv(path, header, (traj.grid.times, s.real, s.imag, c.real, c.imag, a))
+    _write_csv(path, header, (s.real, s.imag, c.real, c.imag, a), traj.grid)

@@ -5,8 +5,9 @@
 echo and the scalar results next to the scenario's CSVs. Outputs are
 deterministic: two runs of the same config produce byte-identical files
 except for the timestamp, which is confined to the summary's ``metadata``
-block. Bad input exits 2 and a numerical failure exits 1, each with one
-``error:`` line.
+block. Bad input, including an output directory that cannot be created or
+written, exits 2 and a numerical failure exits 1, each with one ``error:``
+line.
 """
 
 from __future__ import annotations
@@ -118,7 +119,12 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "seed-figures":
-        for path in seed_figures(args.out):
+        try:
+            written = seed_figures(args.out)
+        except OSError as exc:
+            print(f"error: --out: {exc}", file=sys.stderr)
+            return 2
+        for path in written:
             print(path)
         return 0
 
@@ -141,6 +147,9 @@ def main(argv=None) -> int:
             f"error: scenario '{config.scenario}' failed: {exc}", file=sys.stderr
         )
         return 1
+    except OSError as exc:
+        print(f"error: --out: {exc}", file=sys.stderr)
+        return 2
     results = summary["results"]
     headline = {
         k: results[k]

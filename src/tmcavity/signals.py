@@ -8,6 +8,8 @@ energy bookkeeping is consistent with the dynamics to quadrature accuracy.
 
 from __future__ import annotations
 
+import functools
+import math
 import weakref
 from dataclasses import dataclass
 
@@ -24,7 +26,9 @@ class TimeGrid:
     """Uniform sampling of the closed window [t_start, t_end].
 
     Sample k sits at exactly ``t_start + k * dt`` with
-    ``dt = (t_end - t_start) / (n_samples - 1)``.
+    ``dt = (t_end - t_start) / (n_samples - 1)``, which must be finite and
+    positive: a window that is empty, reversed or not finite, or whose span
+    overflows or whose ``dt`` underflows to 0, is rejected.
     """
 
     t_start: float
@@ -34,9 +38,10 @@ class TimeGrid:
     def __post_init__(self):
         if self.n_samples < 2:
             raise ValueError(f"n_samples must be >= 2, got {self.n_samples}")
-        if not self.t_end > self.t_start:
+        if not 0.0 < self.dt < math.inf:
             raise ValueError(
-                f"t_end must exceed t_start, got [{self.t_start}, {self.t_end}]"
+                f"[t_start, t_end] = [{self.t_start}, {self.t_end}] on "
+                f"{self.n_samples} samples needs a finite dt > 0, got {self.dt}"
             )
 
     @property
@@ -145,23 +150,43 @@ def normalize(f: TemporalSignal) -> TemporalSignal:
     return TemporalSignal(f.grid, f.values / np.sqrt(energy))
 
 
-def _write_csv(path, header, columns) -> None:
+# A grid's time column is the same text in every CSV on that grid, so it is
+# formatted once and kept, for the last grid only, as one newline-joined string
+# per _CSV_BLOCK rows. The key is the grid's values with their types: an int
+# bound and an equal float one can round dt differently.
+@functools.lru_cache(maxsize=1, typed=True)
+def _time_text(t_start, t_end, n_samples) -> tuple[str, ...]:
+    times = TimeGrid(t_start, t_end, n_samples).times
+    return tuple(
+        "\n".join(map(repr, times[start : start + _CSV_BLOCK].tolist()))
+        for start in range(0, n_samples, _CSV_BLOCK)
+    )
+
+
+def _write_csv(path, header, columns, grid: TimeGrid | None = None) -> None:
     """Write equal-length 1-D numeric arrays as CSV columns under ``header``.
 
     Every cell is the ``repr`` of the Python number, i.e. full round-trip
     precision. Rows are formatted in blocks of ``_CSV_BLOCK`` so only one
-    block of text is alive at a time, whatever the column count.
+    block of text is alive at a time, whatever the column count. With
+    ``grid``, the first column is the grid's times, taken from
+    :func:`_time_text`, and ``columns`` holds the rest.
     """
+    times = None
+    if grid is not None:
+        times = _time_text(grid.t_start, grid.t_end, grid.n_samples)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for start in range(0, len(columns[0]), _CSV_BLOCK):
+        for block, start in enumerate(range(0, len(columns[0]), _CSV_BLOCK)):
             cells = [
                 map(repr, col[start : start + _CSV_BLOCK].tolist()) for col in columns
             ]
+            if times is not None:
+                cells.insert(0, times[block].split("\n"))
             fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def signal_to_csv(signal: TemporalSignal, path) -> None:
     """Write a signal as ``t,re,im`` rows at full (round-trip) precision."""
     values = signal.values
-    _write_csv(path, ("t", "re", "im"), (signal.grid.times, values.real, values.imag))
+    _write_csv(path, ("t", "re", "im"), (values.real, values.imag), signal.grid)

@@ -181,6 +181,9 @@ class TestCliCommands:
             ),
             ({"fig2-optimal": "alpha-scan\nalpha_min = -1e300\nalpha_max = 1e300\n"
               "alpha_step = 1e-300"}, []),
+            ({"t_end = 10.0": "t_end = inf"}, []),
+            ({"t_start = 0.0": "t_start = -1e308", "t_end = 10.0": "t_end = 1e308"},
+             []),
         ],
         ids=["n-samples-not-int", "grid-samples-1", "alpha-step-0",
              "alpha-step-negative", "alpha-grid-2-points", "alpha-max-inf",
@@ -190,7 +193,7 @@ class TestCliCommands:
              "fig2-control-clipped", "alpha-scan-control-clipped",
              "green-kernel-control-clipped", "fig3-control-clipped",
              "alpha-1e160", "fig4-alpha-1e160", "alpha-grid-1e159",
-             "alpha-grid-count-inf"],
+             "alpha-grid-count-inf", "grid-t-end-inf", "grid-span-overflows"],
     )
     def test_bad_config_exits_2(self, tmp_path, capsys, replacements, extra_args):
         text = GOOD_CONFIG
@@ -238,6 +241,23 @@ class TestCliCommands:
             ["run", "--config", str(tmp_path / "nope.ini"), "--out", str(tmp_path)]
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "command, out",
+        [("run", "file"), ("run", "file/sub"), ("seed-figures", "file")],
+        ids=["run-out-is-a-file", "run-out-under-a-file", "seed-figures-out-is-a-file"],
+    )
+    def test_unwritable_out_exits_2_with_one_line(self, tmp_path, capsys, command, out):
+        (tmp_path / "file").write_text("keep\n", encoding="utf-8")
+        args = [command, "--out", str(tmp_path / out)]
+        if command == "run":
+            args += ["--config", str(write_config(tmp_path, GOOD_CONFIG))]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --out: ")
+        assert captured.err.count("\n") == 1
+        assert (tmp_path / "file").read_text(encoding="utf-8") == "keep\n"
 
     def test_divergent_run_exits_1_naming_the_scenario(self, tmp_path, capsys):
         stiff = GOOD_CONFIG.replace("gamma_s = 10.1", "gamma_s = 5000.0").replace(

@@ -1,5 +1,7 @@
 """The columnar CSV writers emit exactly the bytes of a row-by-row formatter."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,8 @@ from tmcavity import (
     signal_to_csv,
     trajectory_to_csv,
 )
+from tmcavity.cli import _paper_scenario_configs, run
+from tmcavity.signals import _CSV_BLOCK, _time_text
 
 # Signed zero, the smallest subnormal, a huge value and integral floats.
 SPECIAL = np.array([-0.0, 5e-324, 1e300, 2.0, -7.0, -1e-300, 0.1])
@@ -74,3 +78,70 @@ def test_trajectory_to_csv_bytes(grid, tmp_path):
         ),
     )
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def signal_reference_bytes(sig, path):
+    reference_csv(
+        path,
+        ["t", "re", "im"],
+        ([t, v.real, v.imag] for t, v in zip(sig.grid.times, sig.values)),
+    )
+    return path.read_bytes()
+
+
+def test_interleaved_grids_each_get_their_own_time_column(tmp_path):
+    # The memo holds one grid, so alternating grids evict each other; equal
+    # grids built apart share one entry, and an int bound that equals a float
+    # one but rounds dt differently must not.
+    grids = [
+        TimeGrid(0.0, 10.0, 1001),
+        TimeGrid(0.0, 10.0, 1002),
+        TimeGrid(0.5, 10.5, 1001),
+        TimeGrid(0.0, 1e300, 2),
+        TimeGrid(0.0, 10.0, 1001),
+        TimeGrid(1.0, float(2**54 + 4), 4),
+        TimeGrid(1, 2**54 + 4, 4),
+    ]
+    assert grids[0] == grids[4] and grids[0] is not grids[4]
+    assert grids[5] == grids[6]
+    assert not np.array_equal(grids[5].times, grids[6].times)
+    rng = np.random.default_rng(3)
+    for round_ in range(2):
+        for i, g in enumerate(grids):
+            sig = signal(g, rng)
+            path = tmp_path / f"new-{round_}-{i}.csv"
+            signal_to_csv(sig, path)
+            ref = signal_reference_bytes(sig, tmp_path / "ref.csv")
+            assert path.read_bytes() == ref
+
+
+def test_memo_holds_one_grid_as_one_string_per_block(tmp_path):
+    rng = np.random.default_rng(4)
+    for n in (1001, 600):
+        signal_to_csv(signal(TimeGrid(0.0, 1.0, n), rng), tmp_path / "new.csv")
+    info = _time_text.cache_info()
+    assert info.maxsize == 1 and info.currsize == 1
+    blocks = _time_text(0.0, 1.0, 600)
+    assert _time_text.cache_info().hits == info.hits + 1
+    assert len(blocks) == -(-600 // _CSV_BLOCK)
+    assert all(isinstance(b, str) for b in blocks)
+    times = TimeGrid(0.0, 1.0, 600).times.tolist()
+    assert "\n".join(blocks).split("\n") == list(map(repr, times))
+
+
+def test_fig4_design_formats_its_time_column_once(tmp_path):
+    config = _paper_scenario_configs()["fig4-hg0"]
+    config = dataclasses.replace(
+        config, grid=dataclasses.replace(config.grid, n_samples=2001)
+    )
+    _time_text.cache_clear()
+    run(config, tmp_path)
+    info = _time_text.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    names = ("trajectory.csv", "designed_control.csv", "target_mode.csv")
+    first = [
+        [line.split(",")[0] for line in (tmp_path / n).read_text().splitlines()[1:]]
+        for n in names
+    ]
+    assert first[0] == first[1] == first[2]
+    assert first[0] == list(map(repr, config.grid.times.tolist()))

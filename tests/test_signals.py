@@ -46,6 +46,29 @@ class TestTimeGrid:
         with pytest.raises(ValueError):
             TimeGrid(5.0, 1.0, 100)
 
+    @pytest.mark.parametrize(
+        "t_start, t_end, n_samples, message",
+        [
+            (0.0, np.inf, 11, "got inf"),
+            (-np.inf, 0.0, 11, "got inf"),
+            (-np.inf, np.inf, 11, "got inf"),
+            (np.nan, 1.0, 11, "got nan"),
+            (0.0, np.nan, 11, "got nan"),
+            (-1e308, 1e308, 3, "got inf"),
+            (0.0, 5e-324, 3, "got 0.0"),
+        ],
+        ids=["t-end-inf", "t-start-minus-inf", "both-infinite", "t-start-nan",
+             "t-end-nan", "span-overflows", "dt-underflows"],
+    )
+    def test_rejects_bounds_it_cannot_sample(self, t_start, t_end, n_samples, message):
+        with pytest.raises(ValueError, match=f"needs a finite dt > 0, {message}$"):
+            TimeGrid(t_start, t_end, n_samples)
+
+    def test_narrowest_samplable_window_is_kept(self):
+        grid = TimeGrid(0.0, 1e-323, 3)
+        assert grid.dt == 5e-324
+        assert grid.times.tolist() == [0.0, 5e-324, 1e-323]
+
 
 class TestTemporalSignal:
     def test_length_must_match_grid(self):
