@@ -16,12 +16,7 @@ from .analysis import (
     scan_alpha,
     unconverted_energy,
 )
-from .cavity import (
-    CavityParams,
-    CavityTrajectory,
-    simulate,
-    trajectory_to_csv,
-)
+from .cavity import CavityParams, CavityTrajectory, simulate
 from .config import ExperimentConfig, load_config
 from .design import design_control, impedance_residual
 from .errors import (
@@ -51,7 +46,6 @@ from .signals import (
     inner_product,
     normalize,
     quadrature_weights,
-    signal_to_csv,
 )
 
 __version__ = "0.1.0"

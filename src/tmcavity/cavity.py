@@ -30,7 +30,8 @@ nothing leaks (C_out = 0). :func:`simulate` runs any of the three levels,
 named ``"full"``, ``"reduced"`` and ``"analytic"`` in :data:`MODELS`, and
 returns the same :class:`CavityTrajectory` for each. All three are stepped
 as affine maps and solved by one scan, and the closed form is the
-integrators' test reference.
+integrators' test reference. The module does no file I/O: a trajectory
+reaches disk as a table of ``config.SCENARIOS``, written by ``cli.run``.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ from .signals import (
     TemporalSignal,
     TimeGrid,
     _pulse_area,
-    _write_csv,
     require_same_grid,
 )
 
@@ -459,9 +459,3 @@ def simulate(
         model=model,
     )
 
-
-def trajectory_to_csv(traj: CavityTrajectory, path) -> None:
-    """Write a trajectory's state as one CSV row per sample at full precision."""
-    s, c, a = traj.S.values, traj.C.values, np.abs(traj.control.values)
-    header = ("t", "S_re", "S_im", "C_re", "C_im", "control_abs")
-    _write_csv(path, header, (s.real, s.imag, c.real, c.imag, a), traj.grid)

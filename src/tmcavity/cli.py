@@ -1,19 +1,21 @@
 """Command-line front end: ``tmcavity run``, ``list`` and ``seed-figures``.
 
-``run`` loads and validates one config, runs its scenario from
-:data:`config.SCENARIOS`, and writes a ``summary.json`` holding the config
-echo and the scalar results next to the scenario's CSVs. Outputs are
-deterministic: two runs of the same config produce byte-identical files
-except for the timestamp, which is confined to the summary's ``metadata``
-block. Bad input, including an output directory that cannot be created or
-written, exits 2 and a numerical failure exits 1, each with one ``error:``
-line.
+``run`` loads and validates one config and runs its scenario from
+:data:`config.SCENARIOS`, which computes the results and CSV tables. Only
+then does :func:`run` write the tables, through the package's one CSV writer
+:func:`_write_csv`, and a ``summary.json`` holding the config echo and the
+results, so a run that fails writes no file. Outputs are deterministic: two
+runs of the same config produce byte-identical files except for the
+timestamp, which is confined to the summary's ``metadata`` block. Bad input,
+including an output directory that cannot be created or written, exits 2 and
+a numerical failure exits 1, each with one ``error:`` line.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from datetime import datetime, timezone
@@ -21,13 +23,52 @@ from pathlib import Path
 
 from .config import SCENARIOS, ExperimentConfig, dump_config, load_config
 from .errors import ConfigError, TmCavityError
+from .signals import TimeGrid
+
+_CSV_BLOCK = 256
+
+
+# A grid's time column is the same text in every CSV on that grid, so it is
+# formatted once and kept, for the last grid only, as one newline-joined string
+# per _CSV_BLOCK rows.
+@functools.lru_cache(maxsize=1)
+def _time_text(grid: TimeGrid) -> tuple[str, ...]:
+    times = grid.times
+    return tuple(
+        "\n".join(map(repr, times[start : start + _CSV_BLOCK].tolist()))
+        for start in range(0, grid.n_samples, _CSV_BLOCK)
+    )
+
+
+def _write_csv(path, header, columns, grid: TimeGrid | None = None) -> None:
+    """Write equal-length 1-D numeric arrays as CSV columns under ``header``.
+
+    Every cell is the ``repr`` of the Python number, i.e. full round-trip
+    precision. Rows are formatted in blocks of ``_CSV_BLOCK`` so only one
+    block of text is alive at a time, whatever the column count. With
+    ``grid``, the first column is the grid's times, taken from
+    :func:`_time_text`, and ``columns`` holds the rest.
+    """
+    times = None if grid is None else _time_text(grid)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for block, start in enumerate(range(0, len(columns[0]), _CSV_BLOCK)):
+            cells = [
+                map(repr, col[start : start + _CSV_BLOCK].tolist()) for col in columns
+            ]
+            if times is not None:
+                cells.insert(0, times[block].split("\n"))
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def run(config: ExperimentConfig, out_dir) -> dict:
-    """Execute one scenario, write its artifacts, and return the summary."""
+    """Run one scenario, then write its tables and summary, so a scenario
+    that fails writes no file into ``out_dir``; return the summary."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    results = SCENARIOS[config.scenario][1](config, out)
+    results, tables = SCENARIOS[config.scenario][1](config)
+    for name, (header, columns, grid) in tables.items():
+        _write_csv(out / name, header, columns, grid)
     summary = {
         "scenario": config.scenario,
         "config": config.as_dict(),
@@ -55,7 +96,6 @@ def list_scenarios() -> str:
 def _paper_scenario_configs() -> dict[str, ExperimentConfig]:
     """The standard benchmark runs, keyed by config-file stem."""
     from .cavity import CavityParams
-    from .signals import TimeGrid
 
     grid = TimeGrid(0.0, 10.0, 10001)
     cavity = CavityParams(gamma_s=10.1, gamma_c=0.01, alpha=5.5)

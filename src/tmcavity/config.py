@@ -11,7 +11,11 @@ out-of-range values.
 :data:`SCENARIOS` is the one table of scenarios. It maps each name to the
 ``[scenario]`` keys it takes and to the function that runs it: that
 function rebuilds the pulses from the validated config, runs the requested
-model, writes the scenario's CSVs and returns its scalar results.
+model and returns ``(results, tables)``, its scalar results and the CSV
+tables it computed. ``tables`` maps each file name to ``(header, columns,
+grid)``, and :func:`_trajectory_table` and :func:`_signal_table` give the
+layouts of the trajectory and signal files. Runners do no file I/O;
+``cli.run`` writes every table once the runner has returned.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from .analysis import (
     scan_alpha,
     unconverted_energy,
 )
-from .cavity import MODELS, CavityParams, simulate, trajectory_to_csv
+from .cavity import MODELS, CavityParams, simulate
 from .design import design_control, impedance_residual
 from .errors import ConfigError, WindowClippingError
 from .modes import (
@@ -43,14 +47,7 @@ from .modes import (
     optimal_input_mode,
     polynomial_family,
 )
-from .signals import (
-    TemporalSignal,
-    TimeGrid,
-    _write_csv,
-    inner_product,
-    normalize,
-    signal_to_csv,
-)
+from .signals import TemporalSignal, TimeGrid, inner_product, normalize
 
 # Written in this order by dump_config, so it fixes the bytes of every
 # seeded config file.
@@ -116,6 +113,15 @@ class ExperimentConfig:
             raise ConfigError("mode_index must be >= 1")
         if self.basis_size < 2:
             raise ConfigError("basis_size must be >= 2")
+        # at most n_samples modes are orthonormal on n_samples samples
+        if (
+            "basis_size" in SCENARIOS[self.scenario][0]
+            and self.basis_size > self.grid.n_samples
+        ):
+            raise ConfigError(
+                f"basis_size must be <= n_samples = {self.grid.n_samples}, "
+                f"got {self.basis_size}"
+            )
         if not 0 <= self.target_order <= MAX_HERMITE_ORDER:
             raise ConfigError(f"target_order must be within [0, {MAX_HERMITE_ORDER}]")
         if self.q <= 0:
@@ -144,12 +150,27 @@ class ExperimentConfig:
         }
 
 
-def _trajectory_results(traj) -> dict:
+def _trajectory_table(traj):
+    """The ``t,S_re,S_im,C_re,C_im,control_abs`` table of a trajectory's state."""
+    s, c, a = traj.S.values, traj.C.values, np.abs(traj.control.values)
+    header = ("t", "S_re", "S_im", "C_re", "C_im", "control_abs")
+    return header, (s.real, s.imag, c.real, c.imag, a), traj.grid
+
+
+def _signal_table(signal):
+    """The ``t,re,im`` table of a signal."""
+    values = signal.values
+    return ("t", "re", "im"), (values.real, values.imag), signal.grid
+
+
+def _trajectory_outputs(traj, *signals):
+    """Results and tables of a run of ``traj``: its state in ``trajectory.csv``
+    and each ``(file name, signal)`` pair of ``signals`` in a signal table."""
     wout = unconverted_energy(traj)
     abs_c = np.abs(traj.C.values)
     k_peak = int(abs_c.argmax())
     minus_ic = -1j * traj.C.values[k_peak]
-    return {
+    results = {
         "w_out": float(wout.value),
         "w_out_plateaued": bool(wout.plateaued),
         "w_out_tail_fraction": float(wout.tail_fraction),
@@ -160,6 +181,9 @@ def _trajectory_results(traj) -> dict:
         "final_abs_C_sq": float(abs(traj.C.values[-1]) ** 2),
         "conservation_residual": float(conservation_residual(traj)),
     }
+    tables = {"trajectory.csv": _trajectory_table(traj)}
+    tables.update((name, _signal_table(signal)) for name, signal in signals)
+    return results, tables
 
 
 def _orthogonal_family(config: ExperimentConfig, size: int):
@@ -168,46 +192,39 @@ def _orthogonal_family(config: ExperimentConfig, size: int):
     return control, polynomial_family(seed, size, config.control_center)
 
 
-def _run_fig2_gaussian(config, out):
+def _run_fig2_gaussian(config):
     """Gaussian control driving an input of the same Gaussian shape (mode-mismatched storage benchmark)."""
     control = gaussian_control(config.control_center, config.grid)
-    traj = simulate(config.cavity, control, control)
-    trajectory_to_csv(traj, out / "trajectory.csv")
-    return _trajectory_results(traj)
+    return _trajectory_outputs(simulate(config.cavity, control, control))
 
 
-def _run_fig2_optimal(config, out):
+def _run_fig2_optimal(config):
     """Gaussian control driving its matched optimal input mode (near-complete storage)."""
     control = gaussian_control(config.control_center, config.grid)
     mode = optimal_input_mode(config.cavity, control)
     traj = simulate(config.cavity, control, mode)
-    trajectory_to_csv(traj, out / "trajectory.csv")
-    signal_to_csv(mode, out / "input_mode.csv")
-    return _trajectory_results(traj)
+    return _trajectory_outputs(traj, ("input_mode.csv", mode))
 
 
-def _run_fig3(config, out):
+def _run_fig3(config):
     """Input mode orthogonal to the optimal one; mode_index picks the family member."""
     control, family = _orthogonal_family(config, config.mode_index)
     mode = TemporalSignal(config.grid, family[config.mode_index])
     traj = simulate(config.cavity, control, mode)
-    trajectory_to_csv(traj, out / "trajectory.csv")
-    signal_to_csv(mode, out / "input_mode.csv")
-    results = _trajectory_results(traj)
+    results, tables = _trajectory_outputs(traj, ("input_mode.csv", mode))
     results["mode_index"] = config.mode_index
     results["minus_ic_min_re"] = float((-1j * traj.C.values).real.min())
-    return results
+    return results, tables
 
 
-def _run_fig4(config, out):
+def _run_fig4(config):
     """Control pulse designed to store a chosen Hermite-Gauss target (target_order, q, theta)."""
     target = hermite_gaussian(config.target_order, config.control_center, config.grid)
     control = design_control(target, config.cavity.f_s, config.q, config.theta)
     traj = simulate(config.cavity, control, target)
-    trajectory_to_csv(traj, out / "trajectory.csv")
-    signal_to_csv(control, out / "designed_control.csv")
-    signal_to_csv(target, out / "target_mode.csv")
-    results = _trajectory_results(traj)
+    results, tables = _trajectory_outputs(
+        traj, ("designed_control.csv", control), ("target_mode.csv", target)
+    )
     results.update(
         {
             "target_order": config.target_order,
@@ -222,10 +239,10 @@ def _run_fig4(config, out):
             ),
         }
     )
-    return results
+    return results, tables
 
 
-def _run_alpha_scan(config, out):
+def _run_alpha_scan(config):
     """Sweep of the coupling strength with per-point matched inputs; reports the best value."""
     control = gaussian_control(config.control_center, config.grid)
     result = scan_alpha(
@@ -237,39 +254,35 @@ def _run_alpha_scan(config, out):
         control=control,
         model=config.model,
     )
-    _write_csv(
-        out / "wout_vs_alpha.csv",
-        ("alpha", "w_out", "diverged"),
-        (
-            np.array(result.alphas),
-            np.array(result.w_out),
-            np.array(result.diverged, dtype=int),
-        ),
+    columns = (
+        np.array(result.alphas),
+        np.array(result.w_out),
+        np.array(result.diverged, dtype=int),
     )
-    return {
+    results = {
         "model": config.model,
         "best_alpha": float(result.best_alpha),
         "best_w_out": float(result.best_w_out),
         "n_points": len(result.alphas),
         "n_diverged": int(sum(result.diverged)),
     }
+    table = (("alpha", "w_out", "diverged"), columns, None)
+    return results, {"wout_vs_alpha.csv": table}
 
 
-def _run_green_kernel(config, out):
+def _run_green_kernel(config):
     """Conversion-kernel assembly over an orthonormal basis with singular-value analysis."""
     control, family = _orthogonal_family(config, config.basis_size - 1)
     report = green_kernel(config.cavity, control, family, model=config.model)
-    sv = report.singular_values
-    _write_csv(
-        out / "singular_values.csv",
-        ("index", "sigma", "efficiency"),
-        (np.arange(len(sv)), sv, report.conversion_efficiencies),
-    )
+    sv, eff = report.singular_values, report.conversion_efficiencies
+    columns = (np.arange(len(sv)), sv, eff)
     dominant = TemporalSignal(config.grid, report.input_modes[0])
-    signal_to_csv(dominant, out / "dominant_mode.csv")
-    eff = report.conversion_efficiencies
+    tables = {
+        "singular_values.csv": (("index", "sigma", "efficiency"), columns, None),
+        "dominant_mode.csv": _signal_table(dominant),
+    }
     contrast = float(eff[0] / eff[1]) if eff[1] > 0 else float("inf")
-    return {
+    results = {
         "model": config.model,
         "basis_size": config.basis_size,
         "singular_values": [float(v) for v in sv],
@@ -279,14 +292,15 @@ def _run_green_kernel(config, out):
         "schmidt_number": float(report.schmidt_number),
         "sigma2_over_sigma1": float(sv[1] / sv[0]) if sv[0] > 0 else 0.0,
     }
+    return results, tables
 
 
-def _run_units(config, out):
+def _run_units(config):
     """Dimensionless rates translated to SI rates, lifetimes, and quality factors."""
     report = physical_units(
         config.unit_time_s, config.lambda_s_m, config.lambda_c_m, config.cavity
     )
-    return {
+    results = {
         "unit_time_s": float(report.unit_time),
         "omega_s": float(report.omega_s),
         "omega_c": float(report.omega_c),
@@ -297,10 +311,12 @@ def _run_units(config, out):
         "q_factor_s": float(report.Q_s),
         "q_factor_c": float(report.Q_c),
     }
+    return results, {}
 
 
 # Each scenario's [scenario] keys beyond ``name``, and the function that
-# runs it; the function's docstring is its description in ``tmcavity list``.
+# runs it, ``runner(config) -> (results, tables)``; the function's docstring
+# is its description in ``tmcavity list``.
 SCENARIOS = {
     "fig2-gaussian": (("control_center",), _run_fig2_gaussian),
     "fig2-optimal": (("control_center",), _run_fig2_optimal),

@@ -4,11 +4,12 @@ Every quantity in the toolkit lives on a shared uniform grid: envelopes are
 plain complex samples, inner products and running integrals use the composite
 trapezoid rule on the same sample points the integrators use, so post-hoc
 energy bookkeeping is consistent with the dynamics to quadrature accuracy.
+The module does no file I/O: a signal reaches disk as a ``t,re,im`` table
+of ``config.SCENARIOS``, written by ``cli.run``.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import weakref
 from dataclasses import dataclass
@@ -18,17 +19,19 @@ import numpy as np
 from .errors import DegenerateSignalError, GridMismatchError
 
 ZERO_NORM_FLOOR = 1e-300
-_CSV_BLOCK = 256
 
 
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform sampling of the closed window [t_start, t_end].
 
+    The bounds are stored as floats, so equal grids have equal ``times``.
     Sample k sits at exactly ``t_start + k * dt`` with
     ``dt = (t_end - t_start) / (n_samples - 1)``, which must be finite and
-    positive: a window that is empty, reversed or not finite, or whose span
-    overflows or whose ``dt`` underflows to 0, is rejected.
+    positive: a window that is empty, reversed or not finite, whose bound is
+    too large for a float, whose span overflows or whose ``dt`` underflows
+    to 0, is rejected, and so is one whose ``times`` are not strictly
+    increasing because ``dt`` is below the float spacing of the window.
     """
 
     t_start: float
@@ -36,12 +39,24 @@ class TimeGrid:
     n_samples: int
 
     def __post_init__(self):
+        for name in ("t_start", "t_end"):
+            try:
+                object.__setattr__(self, name, float(getattr(self, name)))
+            except OverflowError:
+                raise ValueError(f"{name} is too large for a float") from None
         if self.n_samples < 2:
             raise ValueError(f"n_samples must be >= 2, got {self.n_samples}")
-        if not 0.0 < self.dt < math.inf:
+        window = (
+            f"[t_start, t_end] = [{self.t_start}, {self.t_end}] on "
+            f"{self.n_samples} samples"
+        )
+        dt = self.dt
+        if not 0.0 < dt < math.inf:
+            raise ValueError(f"{window} needs a finite dt > 0, got {dt}")
+        if not (np.diff(self.times) > 0).all():
             raise ValueError(
-                f"[t_start, t_end] = [{self.t_start}, {self.t_end}] on "
-                f"{self.n_samples} samples needs a finite dt > 0, got {self.dt}"
+                f"{window} has times that are not strictly increasing: "
+                f"dt = {dt} is below the float spacing of the window"
             )
 
     @property
@@ -148,45 +163,3 @@ def normalize(f: TemporalSignal) -> TemporalSignal:
     if energy <= ZERO_NORM_FLOOR:
         raise DegenerateSignalError(f"cannot normalize signal with energy {energy}")
     return TemporalSignal(f.grid, f.values / np.sqrt(energy))
-
-
-# A grid's time column is the same text in every CSV on that grid, so it is
-# formatted once and kept, for the last grid only, as one newline-joined string
-# per _CSV_BLOCK rows. The key is the grid's values with their types: an int
-# bound and an equal float one can round dt differently.
-@functools.lru_cache(maxsize=1, typed=True)
-def _time_text(t_start, t_end, n_samples) -> tuple[str, ...]:
-    times = TimeGrid(t_start, t_end, n_samples).times
-    return tuple(
-        "\n".join(map(repr, times[start : start + _CSV_BLOCK].tolist()))
-        for start in range(0, n_samples, _CSV_BLOCK)
-    )
-
-
-def _write_csv(path, header, columns, grid: TimeGrid | None = None) -> None:
-    """Write equal-length 1-D numeric arrays as CSV columns under ``header``.
-
-    Every cell is the ``repr`` of the Python number, i.e. full round-trip
-    precision. Rows are formatted in blocks of ``_CSV_BLOCK`` so only one
-    block of text is alive at a time, whatever the column count. With
-    ``grid``, the first column is the grid's times, taken from
-    :func:`_time_text`, and ``columns`` holds the rest.
-    """
-    times = None
-    if grid is not None:
-        times = _time_text(grid.t_start, grid.t_end, grid.n_samples)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for block, start in enumerate(range(0, len(columns[0]), _CSV_BLOCK)):
-            cells = [
-                map(repr, col[start : start + _CSV_BLOCK].tolist()) for col in columns
-            ]
-            if times is not None:
-                cells.insert(0, times[block].split("\n"))
-            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
-
-
-def signal_to_csv(signal: TemporalSignal, path) -> None:
-    """Write a signal as ``t,re,im`` rows at full (round-trip) precision."""
-    values = signal.values
-    _write_csv(path, ("t", "re", "im"), (values.real, values.imag), signal.grid)

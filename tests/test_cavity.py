@@ -25,7 +25,6 @@ from tmcavity import (
     polynomial_family,
     quadrature_weights,
     simulate,
-    trajectory_to_csv,
     unconverted_energy,
 )
 from tmcavity import cavity
@@ -349,15 +348,6 @@ class TestModelAgreement:
             traj = simulate(CavityParams(**BENCH), control, control, model)
             results.append(unconverted_energy(traj).value)
         assert abs(results[0] - results[1]) < 1e-6
-
-
-class TestTrajectoryCsv:
-    def test_schema_and_shape(self, traj_gaussian_input, tmp_path):
-        path = tmp_path / "traj.csv"
-        trajectory_to_csv(traj_gaussian_input, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "t,S_re,S_im,C_re,C_im,control_abs"
-        assert len(lines) == 1 + traj_gaussian_input.grid.n_samples
 
 
 @pytest.mark.seeded

@@ -1,6 +1,8 @@
 """Config parsing, CLI subcommands, artifact schemas, and determinism."""
 
+import builtins
 import dataclasses
+import io
 import json
 import math
 import re
@@ -39,6 +41,27 @@ def write_config(tmp_path, text, name="exp.ini"):
 def load_summary(out_dir):
     with open(out_dir / "summary.json", "r", encoding="utf-8") as fh:
         return json.load(fh)
+
+
+# The CSVs each scenario writes besides summary.json, as README "Outputs" lists.
+SCENARIO_TABLES = {
+    "fig2-gaussian": {"trajectory.csv"},
+    "fig2-optimal": {"trajectory.csv", "input_mode.csv"},
+    "fig3-orthogonal": {"trajectory.csv", "input_mode.csv"},
+    "fig4-design": {"trajectory.csv", "designed_control.csv", "target_mode.csv"},
+    "alpha-scan": {"wout_vs_alpha.csv"},
+    "green-kernel": {"singular_values.csv", "dominant_mode.csv"},
+    "units": set(),
+}
+
+
+def scenario_config(scenario):
+    """The first standard benchmark config of ``scenario``, on 2001 samples."""
+    config = next(
+        c for c in _paper_scenario_configs().values() if c.scenario == scenario
+    )
+    grid = dataclasses.replace(config.grid, n_samples=2001)
+    return dataclasses.replace(config, grid=grid)
 
 
 class TestConfigParsing:
@@ -235,6 +258,33 @@ class TestCliCommands:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.rstrip().endswith(f": f_s or g_s overflows at alpha = {alpha}")
+
+    @pytest.mark.parametrize(
+        "basis_size, extra_args, n_samples",
+        [(102, [], 101), (10**12, [], 101), (8, ["--grid-samples", "7"], 7)],
+        ids=["one-above-101", "10**12", "grid-samples-below-basis"],
+    )
+    def test_basis_size_above_n_samples_exits_2(
+        self, tmp_path, capsys, monkeypatch, basis_size, extra_args, n_samples
+    ):
+        # rejected with the config, before any basis is built
+        def no_basis(*args, **kwargs):
+            raise AssertionError("the basis was built")
+
+        monkeypatch.setattr("tmcavity.config.polynomial_family", no_basis)
+        text = GOOD_CONFIG.replace("n_samples = 10001", "n_samples = 101").replace(
+            "name = fig2-optimal", f"name = green-kernel\nbasis_size = {basis_size}"
+        )
+        path = write_config(tmp_path, text)
+        out = tmp_path / "o"
+        code = main(["run", "--config", str(path), "--out", str(out), *extra_args])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert err.rstrip().endswith(
+            f"basis_size must be <= n_samples = {n_samples}, got {basis_size}"
+        )
+        assert not out.exists()
 
     def test_missing_config_exits_2(self, tmp_path, capsys):
         code = main(
@@ -440,6 +490,60 @@ class TestScenarioRuns:
         assert len(t) == len(w) == 2001
         w_out = float((w * np.abs(s_out) ** 2).sum())
         assert w_out == pytest.approx(summary["results"]["w_out"], rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("scenario", list(SCENARIOS))
+    def test_runner_computes_tables_and_opens_no_file(
+        self, tmp_path, monkeypatch, scenario
+    ):
+        config = scenario_config(scenario)
+
+        def no_open(*args, **kwargs):
+            raise AssertionError(f"a runner opened {args[0]!r}")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(builtins, "open", no_open)
+        monkeypatch.setattr(io, "open", no_open)
+        results, tables = SCENARIOS[scenario][1](config)
+        monkeypatch.undo()
+        assert list(tmp_path.iterdir()) == []
+        assert isinstance(results, dict) and results
+        assert set(tables) == SCENARIO_TABLES[scenario]
+        for header, columns, grid in tables.values():
+            assert grid is None or grid == config.grid
+            assert len(header) == len(columns) + (grid is not None)
+            rows = {len(col) for col in columns}
+            assert len(rows) == 1
+            if grid is not None:
+                assert rows == {grid.n_samples}
+
+    @pytest.mark.parametrize("scenario", list(SCENARIOS))
+    def test_run_writes_the_summary_and_exactly_the_tables(self, tmp_path, scenario):
+        run(scenario_config(scenario), tmp_path / "out")
+        written = {p.name for p in (tmp_path / "out").iterdir()}
+        assert written == {"summary.json"} | SCENARIO_TABLES[scenario]
+
+    def test_failed_run_writes_no_file(self, tmp_path, capsys):
+        # on 2 samples fig4-design fails in impedance_residual, after its
+        # trajectory, control and target have all been computed
+        seed_figures(tmp_path / "cfg")
+        out = tmp_path / "out"
+
+        def run_on(n_samples):
+            cfg = tmp_path / "cfg" / "fig4-hg0.ini"
+            args = ["--config", str(cfg), "--out", str(out)]
+            return main(["run", *args, "--grid-samples", str(n_samples)])
+
+        assert run_on(2) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: scenario 'fig4-design' failed:")
+        assert err.count("\n") == 1
+        assert not out.exists() or list(out.iterdir()) == []
+        # rerun into the directory of a successful run, the files stay as written
+        assert run_on(201) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert set(before) == {"summary.json"} | SCENARIO_TABLES["fig4-design"]
+        assert run_on(2) == 1
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     def test_timestamp_is_confined_to_metadata(self, tmp_path):
         cfg = load_config(write_config(tmp_path, GOOD_CONFIG))

@@ -18,7 +18,6 @@ from tmcavity import (
     hermite_gaussian,
     inner_product,
     normalize,
-    signal_to_csv,
 )
 from tmcavity import signals
 
@@ -68,6 +67,38 @@ class TestTimeGrid:
         grid = TimeGrid(0.0, 1e-323, 3)
         assert grid.dt == 5e-324
         assert grid.times.tolist() == [0.0, 5e-324, 1e-323]
+
+    def test_bounds_are_stored_as_floats_so_equal_grids_sample_alike(self):
+        # an int bound rounds dt differently from the equal float one
+        as_int = TimeGrid(1, 2**54 + 4, 4)
+        as_float = TimeGrid(1.0, 2.0**54 + 4, 4)
+        assert type(as_int.t_start) is type(as_int.t_end) is float
+        assert as_int == as_float and hash(as_int) == hash(as_float)
+        assert np.array_equal(as_int.times, as_float.times)
+
+    @pytest.mark.parametrize(
+        "t_start, t_end, name",
+        [(0, 10**400, "t_end"), (-(10**400), 0, "t_start")],
+        ids=["t-end", "t-start"],
+    )
+    def test_bound_too_large_for_a_float_is_a_value_error(self, t_start, t_end, name):
+        with pytest.raises(ValueError, match=f"^{name} is too large for a float$"):
+            TimeGrid(t_start, t_end, 3)
+
+    @pytest.mark.parametrize(
+        "t_start, t_end, n_samples",
+        [(1e16, 1e16 + 2, 1001), (1e16, 1e16 + 4, 4), (-1.0, -1.0 + 2**-52, 4)],
+        ids=["1001-samples-on-2-times", "dt-between-ulps", "dt-below-one-ulp"],
+    )
+    def test_rejects_times_that_are_not_strictly_increasing(
+        self, t_start, t_end, n_samples
+    ):
+        with pytest.raises(ValueError, match="times that are not strictly increasing"):
+            TimeGrid(t_start, t_end, n_samples)
+
+    def test_one_sample_per_float_is_kept(self):
+        grid = TimeGrid(1e16, 1e16 + 4, 3)
+        assert grid.times.tolist() == [1e16, 1e16 + 2, 1e16 + 4]
 
 
 class TestTemporalSignal:
@@ -292,20 +323,3 @@ class TestQuadratureConvergence:
         assert errors[0] / errors[1] >= 3.9
         assert errors[1] / errors[2] >= 3.9
 
-
-class TestCsvRoundTrip:
-    def test_full_precision_round_trip(self, tmp_path):
-        rng = np.random.default_rng(3)
-        grid = TimeGrid(0.25, 4.75, 301)
-        sig = rand_signal(grid, rng)
-        path = tmp_path / "sig.csv"
-        signal_to_csv(sig, path)
-        back = np.loadtxt(path, delimiter=",", skiprows=1)
-        assert np.array_equal(back[:, 0], grid.times)
-        assert np.array_equal(back[:, 1] + 1j * back[:, 2], sig.values)
-
-    def test_header_schema(self, tmp_path):
-        grid = TimeGrid(0.0, 1.0, 11)
-        path = tmp_path / "sig.csv"
-        signal_to_csv(TemporalSignal(grid, np.ones(11)), path)
-        assert path.read_text().splitlines()[0] == "t,re,im"
