@@ -11,7 +11,7 @@ reading the singular value spectrum: a rank-1 map converts one mode.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -223,20 +223,18 @@ class AlphaScanResult:
 
 
 def scan_alpha(
-    alpha_grid: Sequence[float],
-    *,
-    gamma_s: float,
-    gamma_c: float,
+    params: CavityParams,
     control: TemporalSignal,
-    kappa_s: float = 0.0,
-    kappa_c: float = 0.0,
+    alpha_grid: Sequence[float],
     model: str = "full",
 ) -> AlphaScanResult:
     """Sweep the coupling strength, re-deriving the matched input each time.
 
-    The matched input depends on alpha through f_s, so it is rebuilt (and
-    unit-normalized on the grid) per point before the run. A point whose run
-    raises :class:`InstabilityError` or whose W_out is negative or not finite
+    Each point runs the cavity ``params`` with its alpha replaced by the
+    point's; ``params.alpha`` itself is not used. The matched input depends
+    on alpha through f_s, so it is rebuilt (and unit-normalized on the
+    grid) per point before the run. A point whose run raises
+    :class:`InstabilityError` or whose W_out is negative or not finite
     diverged: it is recorded as NaN and left out of the argmin; ties break
     toward smaller alpha. The closed form's W_out is 1 - |C(end)|^2 (lossless
     balance), which goes negative once the grid no longer resolves exp(f_s eps).
@@ -249,13 +247,10 @@ def scan_alpha(
 
     w_list: list[float] = []
     for a in alphas:
-        params = CavityParams(
-            gamma_s=gamma_s, gamma_c=gamma_c, alpha=a,
-            kappa_s=kappa_s, kappa_c=kappa_c,
-        )
-        mode = normalize(optimal_input_mode(params, control))
+        point = replace(params, alpha=a)
+        mode = normalize(optimal_input_mode(point, control))
         try:
-            traj = simulate(params, control, mode, model)
+            traj = simulate(point, control, mode, model)
             w = (
                 1.0 - abs(traj.C.values[-1]) ** 2
                 if model == "analytic"

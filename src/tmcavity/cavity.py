@@ -234,55 +234,53 @@ def _step_maps(columns, dim, control, drives, x):
 
     ``columns`` holds a model's stage formulas, ``_full_rhs(params,
     control)`` with ``dim`` 2 or ``_reduced_rhs(params, control)`` with
-    ``dim`` 1. ``drives`` is an ``(m, n_samples)`` array of signal-band
-    drives, linearly interpolated at the half steps. Each entry of M (a
-    unit column, undriven) and of V_j (from 0 under drive row j) is one RK4
-    step of its own stage formulas. These leave out the terms on the
-    start's exact zeros and ones, and keep every other term as stepping
-    the unit vectors through the whole rhs computed it, in the same order,
-    so the maps are the same bits as that stepping for finite control
-    factors. M is returned as ``(dim, dim, n_steps)``, and V_k is written
-    into slot k + 1 of the ``(dim, m, n_samples)`` state array ``x``, where
+    ``dim`` 1. ``drives`` is an ``(m, n_samples)`` complex array of
+    signal-band drives, linearly interpolated at the half steps. Each entry
+    of M (a unit column, undriven) and of a drive column (from 0) is one
+    RK4 step of its own stage formulas. These leave out the terms on the start's
+    exact zeros and ones, and keep every other term as stepping the unit
+    vectors through the whole rhs computed it, in the same order, so the
+    maps are the same bits as that stepping for finite control factors. M
+    is returned as ``(dim, dim, n_steps)``, and V_k is written into slot
+    k + 1 of the ``(dim, m, n_samples)`` state array ``x``, where
     :func:`_affine_scan` turns it into the state x_{k+1}; slot 0 is left
-    as it was. The steps are taken in blocks of _STEP_BLOCK. Each entry is
+    as it was.
+
+    A single run steps its drive, one row as a drive column. A kernel
+    steps P and Q: a step is linear in the drive at its two ends, V_k =
+    P_k f_k + Q_k f_{k+1}, so two or more rows step the unit drives with
+    (start, half step, end) values (1, 1/2, 0) and (0, 1/2, 1) to P_k and
+    Q_k. Each row's V agrees with stepping it alone to rounding; M is the
+    same bits.
+
+    The steps are taken in blocks of _STEP_BLOCK. Each entry is
     elementwise per step, so the block size cannot change a bit: it sets
     only the number of numpy calls and the size of the temporaries. 2048
     was the fastest of 1024 to 4096 for a three-model alpha sweep at 10001
     samples, on a 2-vCPU x86 host with 48 KB L1d and 2 MB L2 per core.
-
-    More than 2 rows cost as much as 2. A step is linear in the drive at
-    its two ends, V_k = P_k s_k + Q_k s_{k+1}, so the drives 1 and (-1)^k,
-    which step to P + Q and (-1)^k (P - Q), give every row's V by
-    broadcast products. It agrees with stepping the row itself to rounding,
-    and M is the same bits. Up to 2 rows are stepped themselves, as cheaply.
     """
     dt, n_steps = control.grid.dt, control.grid.n_samples - 1
-    v = x[:, :, 1:]
-    if len(drives) > 2:
-        alt = (-1.0) ** np.arange(n_steps + 1)
-        unit = np.empty((dim, 2, n_steps + 1), dtype=complex)
-        m = _step_maps(columns, dim, control, np.stack((np.ones_like(alt), alt)), unit)
-        plus, minus = unit[:, 0, 1:], alt[:-1] * unit[:, 1, 1:]
-        p, q = 0.5 * (plus + minus), 0.5 * (plus - minus)
-        # in step blocks, so the product Q s_{k+1} needs no (dim, m, n_steps)
-        # temporary; a row at a time would round a one-step product apart
-        for k0 in range(0, n_steps, _STEP_BLOCK):
-            k1 = min(k0 + _STEP_BLOCK, n_steps)
-            np.multiply(p[:, None, k0:k1], drives[:, k0:k1], out=v[:, :, k0:k1])
-            v[:, :, k0:k1] += q[:, None, k0:k1] * drives[:, k0 + 1 : k1 + 1]
-        return m
-    drives = np.asarray(drives, dtype=complex)
     m = np.empty((dim, dim, n_steps), dtype=complex)
+    v = x[:, :, 1:]
     for k0 in range(0, n_steps, _STEP_BLOCK):
         k1 = min(k0 + _STEP_BLOCK, n_steps)
         f0, f1 = drives[:, k0:k1], drives[:, k0 + 1 : k1 + 1]
-        # 1-D rows: numpy rounds a one-element broadcast complex product
-        # differently from any other, so (1,) by (1, 1) would change bits
-        rows = zip(f0, 0.5 * (f0 + f1), f1)
+        if len(drives) == 1:
+            # 1-D rows: numpy rounds a one-element broadcast complex product
+            # differently from any other, so (1,) by (1, 1) would change bits
+            rows, driven = zip(f0, 0.5 * (f0 + f1), f1), v[:, :, k0:k1]
+        else:
+            rows = ((1.0, 0.5, 0.0), (0.0, 0.5, 1.0))
+            driven = np.empty((dim, 2, k1 - k0), dtype=complex)
         for j, column in enumerate(columns(k0, k1, rows)):
-            out = m[:, j] if j < dim else v[:, j - dim]
+            out = m[:, j, k0:k1] if j < dim else driven[:, j - dim]
             for i, (x0, k) in enumerate(column):
-                _rk4(x0, k, dt, out[i, k0:k1])
+                _rk4(x0, k, dt, out[i])
+        if len(drives) > 1:
+            # V = P f_k + Q f_{k+1} per block: no (dim, m, n_steps) temporary,
+            # and all rows at once, as a row at a time would round it apart
+            np.multiply(driven[:, :1], f0, out=v[:, :, k0:k1])
+            v[:, :, k0:k1] += driven[:, 1:] * f1
     return m
 
 
@@ -416,9 +414,14 @@ def simulate(
     rule is the one :func:`tmcavity.signals.inner_product` uses, so the
     closed form's orthogonality statements hold at machine precision. All
     three solve one vectorized scan (see :func:`_integrate`), with drive
-    envelopes linearly interpolated at the half steps. At the default step
-    (dt = 1e-3 against rates of order 10) RK4 is deeply inside its
-    stability region and dt-halving tests resolve W_out below 1e-6.
+    envelopes linearly interpolated at the half steps. That interpolation
+    makes the RK4 runs second order in dt: at the default dt = 1e-3, the
+    full model's W_out of the fig2 and fig4-hg0 runs is within 6e-8 of a
+    16x finer run, and halving dt moves it by less than 1e-6. A step need
+    not be inside RK4's stability region (f_s |Omega|^2 dt <= 2.785 on the
+    one-band decay): a designed fig4-hg1 control starts at 37.5. The full
+    model steps it stably there, but the reduced model returns W_out
+    0.0059 against 0.00015 converged.
 
     The one-band models rebuild S(t) algebraically from the instantaneous
     drive and C. The closed form drops the slow gt_c decay, so nothing

@@ -245,15 +245,7 @@ def _run_fig4(config):
 def _run_alpha_scan(config):
     """Sweep of the coupling strength with per-point matched inputs; reports the best value."""
     control = gaussian_control(config.control_center, config.grid)
-    result = scan_alpha(
-        config.alpha_grid,
-        gamma_s=config.cavity.gamma_s,
-        gamma_c=config.cavity.gamma_c,
-        kappa_s=config.cavity.kappa_s,
-        kappa_c=config.cavity.kappa_c,
-        control=control,
-        model=config.model,
-    )
+    result = scan_alpha(config.cavity, control, config.alpha_grid, config.model)
     columns = (
         np.array(result.alphas),
         np.array(result.w_out),

@@ -31,7 +31,8 @@ class TimeGrid:
     positive: a window that is empty, reversed or not finite, whose bound is
     too large for a float, whose span overflows or whose ``dt`` underflows
     to 0, is rejected, and so is one whose ``times`` are not strictly
-    increasing because ``dt`` is below the float spacing of the window.
+    increasing because ``dt`` is below the float spacing of the window, or
+    too many to allocate (a ``ValueError``, not numpy's ``MemoryError``).
     """
 
     t_start: float
@@ -53,7 +54,11 @@ class TimeGrid:
         dt = self.dt
         if not 0.0 < dt < math.inf:
             raise ValueError(f"{window} needs a finite dt > 0, got {dt}")
-        if not (np.diff(self.times) > 0).all():
+        try:
+            increasing = (np.diff(self.times) > 0).all()
+        except MemoryError:
+            raise ValueError(f"{window} has too many samples to hold") from None
+        if not increasing:
             raise ValueError(
                 f"{window} has times that are not strictly increasing: "
                 f"dt = {dt} is below the float spacing of the window"

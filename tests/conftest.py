@@ -98,3 +98,18 @@ def kernel_report_full(bench_params, control, family8):
 @pytest.fixture(scope="session")
 def kernel_report_analytic(bench_params, control, family8):
     return green_kernel(bench_params, control, family8, model="analytic")
+
+
+@pytest.fixture
+def huge_grids_fail(monkeypatch):
+    """``TimeGrid.times`` raises ``MemoryError`` past 1e9 samples, as numpy
+    does when it cannot allocate them. No real request is made: with memory
+    overcommit a request for terabytes can be granted and then touched."""
+    times = TimeGrid.times.fget
+
+    def fget(grid):
+        if grid.n_samples > 10**9:
+            raise MemoryError(f"Unable to allocate {8 * grid.n_samples} bytes")
+        return times(grid)
+
+    monkeypatch.setattr(TimeGrid, "times", property(fget))

@@ -225,48 +225,49 @@ def reference_reduced_rhs(params):
 
 def reference_step_maps(rhs, dim, dt, control, drives):
     """The generic block stepper the per-entry step maps replaced, kept
-    verbatim with its rhs lambdas above; they must give the same bits.
+    with its rhs lambdas above; they must give the same bits.
 
     Fixed RK4 steps of the whole window as affine maps x -> M x + V.
 
     ``rhs(x, o, f)`` returns the derivatives of the ``dim`` amplitudes
     ``x[i]`` under control ``o`` and drive ``f`` as one array. ``drives``
     is an ``(m, n_samples)`` array of signal-band drives. Stepping the unit
-    vectors with zero drive gives the columns of M, and zero with drive row
-    j gives V_j; drives are linearly interpolated at the half steps. The
-    steps are taken in blocks of _STEP_BLOCK, which bounds the RK4
-    temporaries, into one ``(dim, dim + m, n_steps)`` array: M_k is
-    ``[:, :dim, k]`` and V_k is ``[:, dim:, k]``.
+    vectors with zero drive gives the columns of M, and zero with a drive
+    gives that drive's column; drives are linearly interpolated at the
+    half steps. The steps are taken in blocks of _STEP_BLOCK, which bounds
+    the RK4 temporaries, and the maps are returned as one
+    ``(dim, dim + m, n_steps)`` array: M_k is ``[:, :dim, k]`` and V_k is
+    ``[:, dim:, k]``.
 
-    More than 2 rows cost as much as 2. A step is linear in the drive at
-    its two ends, V_k = P_k s_k + Q_k s_{k+1}, so the drives 1 and (-1)^k,
-    which step to P + Q and (-1)^k (P - Q), give every row's V as one
-    broadcast product. It agrees with stepping the row itself to rounding,
-    and M is the same bits. Up to 2 rows are stepped themselves, as cheaply.
+    A single row is stepped itself. Two or more rows step the two unit
+    drives with (start, half step, end) values (1, 1/2, 0) and (0, 1/2, 1)
+    to P_k and Q_k; a step is linear in the drive at its two ends, so each
+    row's V_k = P_k f_k + Q_k f_{k+1}, as one broadcast product.
     """
     om = control.values
     n_steps = len(om) - 1
-    if len(drives) > 2:
-        alt = (-1.0) ** np.arange(n_steps + 1)
-        ones = np.ones_like(alt)
-        unit = reference_step_maps(rhs, dim, dt, control, np.stack((ones, alt)))
-        plus, minus = unit[:, dim], alt[:-1] * unit[:, dim + 1]
-        p, q = 0.5 * (plus + minus), 0.5 * (plus - minus)
-        maps = np.empty((dim, dim + len(drives), n_steps), dtype=complex)
-        maps[:, :dim] = unit[:, :dim]
-        np.multiply(p[:, None], drives[:, :-1], out=maps[:, dim:])
-        maps[:, dim:] += q[:, None] * drives[:, 1:]
-        return maps
-    x = np.eye(dim, dim + len(drives), dtype=complex)[:, :, None]
+    if len(drives) == 1:
+        f0, f1 = drives[:, :-1], drives[:, 1:]
+    else:
+        f0 = np.broadcast_to([[1.0], [0.0]], (2, n_steps))
+        f1 = f0[::-1]
+    x = np.eye(dim, dim + len(f0), dtype=complex)[:, :, None]
     maps = np.empty(x.shape[:2] + (n_steps,), dtype=complex)
     for k0 in range(0, n_steps, _STEP_BLOCK):
         k1 = min(k0 + _STEP_BLOCK, n_steps)
-        f = np.concatenate((np.zeros((dim, k1 - k0 + 1)), drives[:, k0 : k1 + 1]))
-        o0, o1, f0, f1 = om[k0:k1], om[k0 + 1 : k1 + 1], f[:, :-1], f[:, 1:]
-        oh, fh = 0.5 * (o0 + o1), 0.5 * (f0 + f1)
-        d1 = rhs(x, o0, f0)
+        zero = np.zeros((dim, k1 - k0))
+        o0, o1 = om[k0:k1], om[k0 + 1 : k1 + 1]
+        fs0 = np.concatenate((zero, f0[:, k0:k1]))
+        fs1 = np.concatenate((zero, f1[:, k0:k1]))
+        oh, fh = 0.5 * (o0 + o1), 0.5 * (fs0 + fs1)
+        d1 = rhs(x, o0, fs0)
         d2 = rhs(x + 0.5 * dt * d1, oh, fh)
         d3 = rhs(x + 0.5 * dt * d2, oh, fh)
-        d4 = rhs(x + dt * d3, o1, f1)
+        d4 = rhs(x + dt * d3, o1, fs1)
         maps[:, :, k0:k1] = x + dt / 6.0 * (d1 + 2.0 * (d2 + d3) + d4)
-    return maps
+    if len(drives) == 1:
+        return maps
+    p, q = maps[:, dim : dim + 1], maps[:, dim + 1 :]
+    v = p * drives[:, :-1]
+    v += q * drives[:, 1:]
+    return np.concatenate((maps[:, :dim], v), axis=1)

@@ -26,8 +26,6 @@ from tmcavity import (
 )
 
 GAMMA_S = 10.1
-GAMMA_C = 0.01
-ALPHA = 5.5
 
 
 def check(criterion: str, ok: bool, detail: str) -> None:
@@ -36,11 +34,9 @@ def check(criterion: str, ok: bool, detail: str) -> None:
 
 
 @pytest.fixture(scope="module")
-def fine_scan(control):
+def fine_scan(bench_params, control):
     alphas = [0.5 + 0.25 * k for k in range(39)]
-    return scan_alpha(
-        alphas, gamma_s=GAMMA_S, gamma_c=GAMMA_C, control=control, model="full"
-    )
+    return scan_alpha(bench_params, control, alphas, "full")
 
 
 def test_criterion_1_gaussian_input_storage(bench_params, control):
@@ -207,18 +203,17 @@ def test_criterion_8_conservation_suite(bench_params, grid10, control):
     )
 
 
-def test_criterion_9_coupling_strength_optimum(fine_scan):
+def test_criterion_9_coupling_strength_optimum(fine_scan, lossless_params):
     w = dict(zip(fine_scan.alphas, fine_scan.w_out))
     nonmonotone = w[8.0] > fine_scan.best_w_out
     # the closed-form curve reaches the 1e-9 scale at the top of the range,
     # so resolve it on a finer grid than the integrator default
     fine_grid = TimeGrid(0.0, 10.0, 40001)
     analytic = scan_alpha(
+        lossless_params,
+        gaussian_control(3.0, fine_grid),
         [0.5 + 0.5 * k for k in range(20)],
-        gamma_s=GAMMA_S,
-        gamma_c=0.0,
-        control=gaussian_control(3.0, fine_grid),
-        model="analytic",
+        "analytic",
     )
     decreasing = bool(np.all(np.diff(analytic.w_out) < 0.0))
     ok = (

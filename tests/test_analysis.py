@@ -328,13 +328,12 @@ class TestGreenKernel:
         self, bench_params, control, opt_seed, family8, model
     ):
         # one check on the path every model name takes
-        scan = dict(gamma_s=10.1, gamma_c=0.01, control=control, model=model)
         with pytest.raises(ValueError, match="model must be one of"):
             green_kernel(bench_params, control, family8, model=model)
         with pytest.raises(ValueError, match="model must be one of"):
             simulate(bench_params, control, opt_seed, model)
         with pytest.raises(ValueError, match="model must be one of"):
-            scan_alpha([1.0, 2.0, 3.0], **scan)
+            scan_alpha(bench_params, control, [1.0, 2.0, 3.0], model)
 
     @pytest.mark.parametrize("model", ["full", "reduced", "analytic"])
     @pytest.mark.parametrize(
@@ -495,15 +494,9 @@ class TestBatchedKernelMatchesSingleRuns:
 
 
 @pytest.fixture(scope="module")
-def coarse_scan(control):
+def coarse_scan(bench_params, control):
     alphas = [0.5 + 0.5 * k for k in range(20)]
-    return scan_alpha(
-        alphas,
-        gamma_s=BENCH["gamma_s"],
-        gamma_c=BENCH["gamma_c"],
-        control=control,
-        model="full",
-    )
+    return scan_alpha(bench_params, control, alphas, "full")
 
 
 class TestScanAlpha:
@@ -512,19 +505,13 @@ class TestScanAlpha:
         w = dict(zip(coarse_scan.alphas, coarse_scan.w_out))
         assert w[8.0] > coarse_scan.best_w_out
 
-    def test_closed_form_curve_is_strictly_decreasing(self):
+    def test_closed_form_curve_is_strictly_decreasing(self, lossless_params):
         # finer quadrature: the curve tail sits at the 1e-9 scale, below
         # the default grid's trapezoid floor
         grid = TimeGrid(0.0, 10.0, 40001)
         control = gaussian_control(3.0, grid)
         alphas = [0.5 + 0.5 * k for k in range(20)]
-        scan = scan_alpha(
-            alphas,
-            gamma_s=BENCH["gamma_s"],
-            gamma_c=0.0,
-            control=control,
-            model="analytic",
-        )
+        scan = scan_alpha(lossless_params, control, alphas, "analytic")
         assert np.all(np.diff(scan.w_out) < 0.0)
         for a, w in zip(scan.alphas, scan.w_out):
             assert w == pytest.approx(math.exp(-2.0 * a**2 / 10.1), abs=1e-4)
@@ -552,11 +539,11 @@ class TestScanAlpha:
             return TemporalSignal(grid, np.exp(-((u / width) ** 2) + 1j * chirp * u**2))
 
         alphas = sorted(alphas)
-        kw = dict(gamma_s=gamma_s, gamma_c=0.01, model=model)
+        cavity = CavityParams(gamma_s=gamma_s, gamma_c=0.01, alpha=0.0)
         # a scan on another control, kept alive: its area must not be reused
         other = gaussian_control(6.0, grid)
-        scan_alpha(alphas, control=other, **kw)
-        scan = scan_alpha(alphas, control=build_control(), **kw)
+        scan_alpha(cavity, other, alphas, model)
+        scan = scan_alpha(cavity, build_control(), alphas, model)
         for alpha, w in zip(alphas, scan.w_out):
             params = CavityParams(gamma_s=gamma_s, gamma_c=0.01, alpha=alpha)
             control = build_control()
@@ -575,40 +562,32 @@ class TestScanAlpha:
             assert np.float64(w).view(np.uint64) == np.float64(one_off).view(np.uint64)
 
     @pytest.mark.seeded
-    def test_scan_leaves_no_pulse_area_behind(self):
+    def test_scan_leaves_no_pulse_area_behind(self, lossless_params):
         gc.collect()
         held = len(signals._PULSE_AREAS)
         control = gaussian_control(3.0, TimeGrid(0.0, 10.0, 501))
         for model in ("full", "analytic"):
-            scan_alpha([1.0, 2.0, 3.0], gamma_s=10.1, gamma_c=0.0,
-                       control=control, model=model)
+            scan_alpha(lossless_params, control, [1.0, 2.0, 3.0], model)
         assert len(signals._PULSE_AREAS) == held + 1
         ref = weakref.ref(control)
         del control
         gc.collect()
         assert ref() is None and len(signals._PULSE_AREAS) == held
 
-    def test_grid_validation(self, control):
-        kw = dict(gamma_s=10.1, gamma_c=0.01, control=control)
+    def test_grid_validation(self, bench_params, control):
         with pytest.raises(ValueError):
-            scan_alpha([1.0, 2.0], **kw)
+            scan_alpha(bench_params, control, [1.0, 2.0])
         with pytest.raises(ValueError):
-            scan_alpha([1.0, 2.0, 2.0], **kw)
+            scan_alpha(bench_params, control, [1.0, 2.0, 2.0])
 
     def test_refining_the_grid_moves_the_optimum_by_at_most_one_step(
-        self, control
+        self, bench_params, control
     ):
-        kw = dict(
-            gamma_s=BENCH["gamma_s"],
-            gamma_c=BENCH["gamma_c"],
-            control=control,
-            model="full",
-        )
-        coarse = scan_alpha([4.0 + 0.5 * k for k in range(7)], **kw)
-        fine = scan_alpha([4.0 + 0.25 * k for k in range(13)], **kw)
+        coarse = scan_alpha(bench_params, control, [4.0 + 0.5 * k for k in range(7)])
+        fine = scan_alpha(bench_params, control, [4.0 + 0.25 * k for k in range(13)])
         assert abs(coarse.best_alpha - fine.best_alpha) <= 0.5
 
-    def test_diverging_points_are_excluded(self, monkeypatch):
+    def test_diverging_points_are_excluded(self, monkeypatch, bench_params):
         # RK4 stays finite at every matched input tried at gamma_s = 10.1, so
         # the alpha = 400 run is made to diverge
         def run(params, control, mode, model):
@@ -619,13 +598,7 @@ class TestScanAlpha:
         monkeypatch.setattr(analysis, "simulate", run)
         grid = TimeGrid(0.0, 10.0, 101)
         control = gaussian_control(3.0, grid)
-        scan = scan_alpha(
-            [1.0, 2.0, 400.0],
-            gamma_s=10.1,
-            gamma_c=0.01,
-            control=control,
-            model="full",
-        )
+        scan = scan_alpha(bench_params, control, [1.0, 2.0, 400.0], "full")
         assert scan.diverged[-1]
         assert math.isnan(scan.w_out[-1])
         assert scan.best_alpha in (1.0, 2.0)
@@ -634,14 +607,9 @@ class TestScanAlpha:
         # dt = 0.1 against gamma_s = 100: each run's states outgrow the drive
         grid = TimeGrid(0.0, 10.0, 101)
         control = gaussian_control(3.0, grid)
+        params = CavityParams(gamma_s=100.0, gamma_c=0.01, alpha=0.0)
         with pytest.raises(InstabilityError, match="every scan point diverged"):
-            scan_alpha(
-                [1.0, 2.0, 400.0],
-                gamma_s=100.0,
-                gamma_c=0.01,
-                control=control,
-                model="full",
-            )
+            scan_alpha(params, control, [1.0, 2.0, 400.0], "full")
 
     def test_non_finite_w_out_counts_as_diverged(self):
         # One RK4 step with gamma_s dt = 1e39: the state is its own step
@@ -649,26 +617,16 @@ class TestScanAlpha:
         # to inf and without a numpy warning
         grid = TimeGrid(0.0, 1.0, 2)
         control = TemporalSignal(grid, np.ones(2))
-        scan = scan_alpha(
-            [1.0, 1e20, 1e39],
-            gamma_s=1e39,
-            gamma_c=0.0,
-            control=control,
-            model="full",
-        )
+        params = CavityParams(gamma_s=1e39, gamma_c=0.0, alpha=0.0)
+        scan = scan_alpha(params, control, [1.0, 1e20, 1e39], "full")
         assert scan.diverged[0] and math.isnan(scan.w_out[0])
         assert scan.best_alpha != 1.0
 
-    def test_negative_w_out_counts_as_diverged(self, control):
+    def test_negative_w_out_counts_as_diverged(self, lossless_params, control):
         # at alpha 1e6 the grid no longer resolves exp(f_s eps) and the
         # closed form's 1 - |C(end)|^2 comes out negative, which no energy is
-        scan = scan_alpha(
-            [100.0, 1e3, 1e4, 1e5, 1e6],
-            gamma_s=BENCH["gamma_s"],
-            gamma_c=0.0,
-            control=control,
-            model="analytic",
-        )
+        alphas = [100.0, 1e3, 1e4, 1e5, 1e6]
+        scan = scan_alpha(lossless_params, control, alphas, "analytic")
         assert scan.diverged == (False, False, False, False, True)
         assert all(w > 0.0 for w in scan.w_out[:4])
         assert scan.best_alpha == 100.0
@@ -679,10 +637,8 @@ class TestScanAlpha:
         # exp(-2 f_s) down to the window's quadrature floor
         alphas = [0.5, 5.5, 30.0, 61.0, 70.0, 80.0]
         gamma_c = 0.0 if model == "analytic" else BENCH["gamma_c"]
-        scan = scan_alpha(
-            alphas, gamma_s=BENCH["gamma_s"], gamma_c=gamma_c,
-            control=control, model=model,
-        )
+        params = CavityParams(gamma_s=BENCH["gamma_s"], gamma_c=gamma_c, alpha=0.0)
+        scan = scan_alpha(params, control, alphas, model)
         assert not any(scan.diverged)
         assert all(0.0 <= w <= 1.0 for w in scan.w_out)
         if model == "analytic":

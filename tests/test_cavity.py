@@ -412,24 +412,30 @@ def _step_maps(model, params, control, rows):
 
 @pytest.mark.seeded
 class TestDriveLinearStepMaps:
-    """More than 2 drive rows are stepped as the two drives 1 and (-1)^k;
-    each row's maps match stepping that row alone."""
+    """A single run steps its drive; a kernel steps P and Q. Two or more
+    drive rows are stepped as the unit drives (1, 1/2, 0) and (0, 1/2, 1)
+    to P and Q, and each row's maps match stepping that row alone."""
 
     @pytest.mark.parametrize("model", ["full", "reduced"])
     @pytest.mark.parametrize(
         "n", [2, 3, _STEP_BLOCK + 1, _STEP_BLOCK + 2, 2 * _STEP_BLOCK + 2]
     )
     @settings(max_examples=10, deadline=None)
-    @given(params=cavity_params, seed=st.integers(0, 2**32 - 1))
-    def test_rows_match_stepping_each_alone(self, model, n, params, seed):
-        # odd and even step counts: recovering P and Q depends on parity
+    @given(
+        params=cavity_params,
+        m=st.sampled_from([2, 3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rows_match_stepping_each_alone(self, model, n, params, m, seed):
+        # one and two steps and a last block of one or two steps: P and Q
+        # are stepped per block, and the rows' products taken per block
         grid = TimeGrid(0.0, 10.0, n)
         rng = np.random.default_rng(seed)
-        samples = rng.standard_normal((4, n)) + 1j * rng.standard_normal((4, n))
+        samples = rng.standard_normal((m + 1, n)) + 1j * rng.standard_normal((m + 1, n))
         control, rows = TemporalSignal(grid, samples[0]), samples[1:]
         dim = 2 if model == "full" else 1
         maps = _step_maps(model, params, control, rows)
-        assert maps.shape == (dim, dim + 3, n - 1)
+        assert maps.shape == (dim, dim + m, n - 1)
         for j, row in enumerate(rows):
             alone = _step_maps(model, params, control, row[None])
             assert np.array_equal(maps[:, :dim], alone[:, :dim])
@@ -502,7 +508,8 @@ def step_map_inputs(draw, n, rows):
 @pytest.mark.seeded
 class TestStepMapsMatchUnitVectorStepping:
     """The per-entry step maps are the bits of stepping the unit vectors and
-    the drives through the whole rhs, as the generic stepper did."""
+    the drives through the whole rhs, as the generic stepper did: one row
+    itself, two or more as the unit drives of P and Q."""
 
     @staticmethod
     def _assert_same_bits(model, params, control, drive):

@@ -231,6 +231,29 @@ class TestCliCommands:
         assert err.startswith("error:") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
+        "replacements, extra_args",
+        [({"10001": "1000000000000"}, []), ({}, ["--grid-samples", "1000000000000"])],
+        ids=["config", "grid-samples"],
+    )
+    def test_grid_too_large_to_sample_exits_2(
+        self, tmp_path, capsys, huge_grids_fail, replacements, extra_args
+    ):
+        text = GOOD_CONFIG
+        for old, new in replacements.items():
+            text = text.replace(old, new)
+        path = write_config(tmp_path, text)
+        code = main(
+            ["run", "--config", str(path), "--out", str(tmp_path / "o"), *extra_args]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert err.rstrip().endswith(
+            "on 1000000000000 samples has too many samples to hold"
+        )
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
         "replacements, alpha",
         [
             ({"alpha = 5.5": "alpha = 1e160"}, "1e+160"),

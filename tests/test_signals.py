@@ -96,6 +96,15 @@ class TestTimeGrid:
         with pytest.raises(ValueError, match="times that are not strictly increasing"):
             TimeGrid(t_start, t_end, n_samples)
 
+    def test_times_too_large_to_allocate_are_a_value_error(self, huge_grids_fail):
+        with pytest.raises(ValueError) as info:
+            TimeGrid(0.0, 10.0, 10**12)
+        assert str(info.value) == (
+            "[t_start, t_end] = [0.0, 10.0] on 1000000000000 samples "
+            "has too many samples to hold"
+        )
+        assert TimeGrid(0.0, 10.0, 11).n_samples == 11
+
     def test_one_sample_per_float_is_kept(self):
         grid = TimeGrid(1e16, 1e16 + 4, 3)
         assert grid.times.tolist() == [1e16, 1e16 + 2, 1e16 + 4]
