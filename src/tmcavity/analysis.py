@@ -234,10 +234,9 @@ def scan_alpha(
     point's; ``params.alpha`` itself is not used. The matched input depends
     on alpha through f_s, so it is rebuilt (and unit-normalized on the
     grid) per point before the run. A point whose run raises
-    :class:`InstabilityError` or whose W_out is negative or not finite
-    diverged: it is recorded as NaN and left out of the argmin; ties break
-    toward smaller alpha. The closed form's W_out is 1 - |C(end)|^2 (lossless
-    balance), which goes negative once the grid no longer resolves exp(f_s eps).
+    :class:`InstabilityError` or whose W_out is not finite diverged: it is
+    recorded as NaN and left out of the argmin; ties break toward smaller
+    alpha. Every model's W_out is :func:`unconverted_energy` of its run.
     """
     alphas = [float(a) for a in alpha_grid]
     if len(alphas) < 3:
@@ -250,15 +249,10 @@ def scan_alpha(
         point = replace(params, alpha=a)
         mode = normalize(optimal_input_mode(point, control))
         try:
-            traj = simulate(point, control, mode, model)
-            w = (
-                1.0 - abs(traj.C.values[-1]) ** 2
-                if model == "analytic"
-                else unconverted_energy(traj).value
-            )
+            w = unconverted_energy(simulate(point, control, mode, model)).value
         except InstabilityError:
             w = math.nan
-        w_list.append(w if 0.0 <= w < math.inf else math.nan)
+        w_list.append(w if math.isfinite(w) else math.nan)
 
     finite = [i for i, w in enumerate(w_list) if math.isfinite(w)]
     if not finite:

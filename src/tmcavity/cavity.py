@@ -42,12 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InstabilityError
-from .signals import (
-    TemporalSignal,
-    TimeGrid,
-    _pulse_area,
-    require_same_grid,
-)
+from .signals import TemporalSignal, TimeGrid, require_same_grid
 
 
 @dataclass(frozen=True)
@@ -290,7 +285,7 @@ def _closed_form_maps(params, control, drives, x):
     M_k = exp(a_k - a_{k+1}) and V_k = (i g_s dt / 2)(M_k Omega_k s_k +
     Omega_{k+1} s_{k+1}); a never decreases, so no factor exceeds 1 or can
     overflow, whatever f_s."""
-    a = params.f_s * _pulse_area(control)
+    a = params.f_s * control.pulse_area
     m = np.exp(a[:-1] - a[1:])
     drive = 0.5j * params.g_s * control.grid.dt * control.values * drives
     np.multiply(m, drive[:, :-1], out=x[0, :, 1:])

@@ -273,7 +273,8 @@ def _run_green_kernel(config):
         "singular_values.csv": (("index", "sigma", "efficiency"), columns, None),
         "dominant_mode.csv": _signal_table(dominant),
     }
-    contrast = float(eff[0] / eff[1]) if eff[1] > 0 else float("inf")
+    # JSON has no Infinity: a rank-1 kernel (eff[1] == 0) has no contrast
+    contrast = float(eff[0] / eff[1]) if eff[1] > 0 else None
     results = {
         "model": config.model,
         "basis_size": config.basis_size,

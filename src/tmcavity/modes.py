@@ -26,7 +26,6 @@ from .errors import (
 from .signals import (
     TemporalSignal,
     TimeGrid,
-    _pulse_area,
     inner_product,
     normalize,
     quadrature_weights,
@@ -106,7 +105,7 @@ def optimal_input_mode(
     returns conj(Omega) unchanged.
     """
     fs = params.f_s
-    eps = _pulse_area(control)
+    eps = control.pulse_area
     if fs == 0.0:
         scale = 1.0
     else:

@@ -11,8 +11,8 @@ of ``config.SCENARIOS``, written by ``cli.run``.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -97,6 +97,16 @@ class TemporalSignal:
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
+    @cached_property
+    def pulse_area(self) -> np.ndarray:
+        """:func:`cumulative_integral` of this signal, built on first use,
+        kept read-only and freed with the signal, for the callers that
+        evaluate one control many times. Threads that race on it build the
+        same values, so whichever copy is kept is right."""
+        area = cumulative_integral(self)
+        area.flags.writeable = False
+        return area
+
 
 def require_same_grid(*signals: TemporalSignal) -> TimeGrid:
     """Return the common grid of the given signals, or raise."""
@@ -143,23 +153,6 @@ def cumulative_integral(f: TemporalSignal) -> np.ndarray:
     out[0] = 0.0
     np.cumsum(0.5 * f.grid.dt * (g[1:] + g[:-1]), out=out[1:])
     return out
-
-
-# A signal hashes by identity and never changes, so its area is built once
-# and dropped with it. Threads that race on one signal build the same values,
-# so whichever copy is kept is right.
-_PULSE_AREAS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def _pulse_area(control: TemporalSignal) -> np.ndarray:
-    """:func:`cumulative_integral` of ``control``, built once per signal and
-    returned read-only, for the callers that evaluate one control many times."""
-    area = _PULSE_AREAS.get(control)
-    if area is None:
-        area = cumulative_integral(control)
-        area.flags.writeable = False
-        _PULSE_AREAS[control] = area
-    return area
 
 
 def normalize(f: TemporalSignal) -> TemporalSignal:

@@ -545,6 +545,27 @@ class TestScenarioRuns:
         written = {p.name for p in (tmp_path / "out").iterdir()}
         assert written == {"summary.json"} | SCENARIO_TABLES[scenario]
 
+    @pytest.mark.parametrize(
+        "stem, model",
+        [(stem, None) for stem in _paper_scenario_configs()]
+        + [(s, m) for s in ("alpha-scan", "green-kernel") for m in ("reduced", "analytic")],
+    )
+    def test_summary_is_strict_json(self, tmp_path, stem, model):
+        # RFC 8259 has no NaN or Infinity: the closed-form kernel is rank 1,
+        # so its contrast, eff[0] / eff[1], is written as null
+        def reject(name):
+            raise ValueError(f"{name} is not JSON")
+
+        config = _paper_scenario_configs()[stem]
+        grid = dataclasses.replace(config.grid, n_samples=2001)
+        config = dataclasses.replace(config, grid=grid, model=model or config.model)
+        run(config, tmp_path)
+        text = (tmp_path / "summary.json").read_text(encoding="utf-8")
+        results = json.loads(text, parse_constant=reject)["results"]
+        if (stem, model) == ("green-kernel", "analytic"):
+            assert results["conversion_efficiencies"][1] == 0.0
+            assert results["contrast"] is None
+
     def test_failed_run_writes_no_file(self, tmp_path, capsys):
         # on 2 samples fig4-design fails in impedance_residual, after its
         # trajectory, control and target have all been computed

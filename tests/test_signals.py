@@ -19,7 +19,6 @@ from tmcavity import (
     inner_product,
     normalize,
 )
-from tmcavity import signals
 
 
 def rand_signal(grid, rng):
@@ -227,36 +226,33 @@ class TestPulseAreaMemo:
     def test_area_is_built_once_and_read_only(self):
         grid = TimeGrid(0.0, 1.0, 101)
         f = TemporalSignal(grid, np.exp(1j * grid.times))
-        area = signals._pulse_area(f)
-        assert signals._pulse_area(f) is area
+        area = f.pulse_area
+        assert f.pulse_area is area
         assert not area.flags.writeable
         assert np.array_equal(area, cumulative_integral(f))
 
     def test_cumulative_integral_stays_a_fresh_writable_array(self):
         grid = TimeGrid(0.0, 1.0, 101)
         f = TemporalSignal(grid, np.ones(101))
-        area = signals._pulse_area(f)
+        area = f.pulse_area
         out = cumulative_integral(f)
         assert out is not area and out.flags.writeable
         out[:] = -1.0
-        assert np.array_equal(signals._pulse_area(f), cumulative_integral(f))
+        assert np.array_equal(f.pulse_area, cumulative_integral(f))
 
-    def test_memo_holds_no_entry_once_the_control_is_dropped(self):
-        gc.collect()
-        held = len(signals._PULSE_AREAS)
+    def test_area_is_freed_with_its_control(self):
         grid = TimeGrid(0.0, 1.0, 101)
         f = TemporalSignal(grid, np.ones(101))
-        signals._pulse_area(f)
-        assert len(signals._PULSE_AREAS) == held + 1
+        area = weakref.ref(f.pulse_area)
         ref = weakref.ref(f)
         del f
         gc.collect()
         assert ref() is None
-        assert len(signals._PULSE_AREAS) == held
+        assert area() is None
 
     def test_threads_building_and_dropping_areas_get_the_right_ones(self):
         # one control shared by every thread, and one per call that is
-        # dropped at once, so entries come and go while others are read
+        # dropped at once, so areas are built and freed while others are read
         grid = TimeGrid(0.0, 1.0, 2001)
         shared = TemporalSignal(grid, np.exp(1j * grid.times))
         expected = cumulative_integral(shared)
@@ -267,10 +263,8 @@ class TestPulseAreaMemo:
                 for i in range(50):
                     own = TemporalSignal(grid, np.full(2001, k + i + 1.0))
                     results.append(
-                        np.array_equal(signals._pulse_area(shared), expected)
-                        and np.array_equal(
-                            signals._pulse_area(own), cumulative_integral(own)
-                        )
+                        np.array_equal(shared.pulse_area, expected)
+                        and np.array_equal(own.pulse_area, cumulative_integral(own))
                     )
             except Exception as exc:  # reported below, not lost in the thread
                 errors.append(exc)
