@@ -148,18 +148,14 @@ def green_kernel(
         )
     if len(basis) < 2:
         raise ValueError("basis must contain at least 2 modes")
-    # For b = x + i y, conj(b_j) b_k = x_j x_k + y_j y_k + i (x_j y_k - y_j x_k):
-    # one real product of the sqrt(w)-weighted rows [x; y] with themselves
-    # (a syrk) holds the Gram; the rows take as many bytes as the basis.
     m = len(basis)
     with np.errstate(over="ignore", invalid="ignore"):  # bad rows fail the check
-        rows = np.concatenate((basis.real, basis.imag))
-        rows *= np.sqrt(quadrature_weights(grid))
-        prod = rows @ rows.T
+        rows = basis.conj()  # the one basis-sized temporary
+        rows *= quadrature_weights(grid)
+        gram = rows @ basis.T
         del rows
-        re = prod[:m, :m] + prod[m:, m:]
-        re[np.diag_indices(m)] -= 1.0
-        worst = float(np.hypot(re, prod[:m, m:] - prod[m:, :m]).max())
+        gram[np.diag_indices(m)] -= 1.0
+        worst = float(np.abs(gram).max())
     if not worst < ORTHONORMALITY_TOL:  # also rejects NaN
         raise NonOrthonormalBasisError(
             f"pairwise inner products deviate from identity by {worst:.3e}"

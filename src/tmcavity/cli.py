@@ -7,8 +7,9 @@ then does :func:`run` write the tables, through the package's one CSV writer
 results, so a run that fails writes no file. Outputs are deterministic: two
 runs of the same config produce byte-identical files except for the
 timestamp, which is confined to the summary's ``metadata`` block. Bad input,
-including an output directory that cannot be created or written, exits 2 and
-a numerical failure exits 1, each with one ``error:`` line.
+an unreadable config or an ``--out`` that cannot be created or written exits
+2, and a numerical failure, or a result that is not finite, exits 1, each
+with one ``error:`` line; one ``try`` in :func:`main` gives every exit code.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from .config import SCENARIOS, ExperimentConfig, dump_config, load_config
-from .errors import ConfigError, TmCavityError
+from .errors import ConfigError, InstabilityError, TmCavityError
 from .signals import TimeGrid
 
 _CSV_BLOCK = 256
@@ -63,12 +64,16 @@ def _write_csv(path, header, columns, grid: TimeGrid | None = None) -> None:
 
 def run(config: ExperimentConfig, out_dir) -> dict:
     """Run one scenario, then write its tables and summary, so a scenario
-    that fails writes no file into ``out_dir``; return the summary."""
+    that fails, or whose results are not all finite (JSON has no NaN or
+    Infinity), writes no file into ``out_dir``; return the summary."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     results, tables = SCENARIOS[config.scenario][1](config)
-    for name, (header, columns, grid) in tables.items():
-        _write_csv(out / name, header, columns, grid)
+    for key, value in results.items():
+        try:
+            json.dumps(value, allow_nan=False)
+        except ValueError:
+            raise InstabilityError(f"result {key!r} is not finite") from None
     summary = {
         "scenario": config.scenario,
         "config": config.as_dict(),
@@ -77,9 +82,10 @@ def run(config: ExperimentConfig, out_dir) -> dict:
             "created_utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         },
     }
-    with open(out / "summary.json", "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    text = json.dumps(summary, indent=2, sort_keys=True, allow_nan=False)
+    for name, (header, columns, grid) in tables.items():
+        _write_csv(out / name, header, columns, grid)
+    (out / "summary.json").write_text(text + "\n", encoding="utf-8", newline="\n")
     return summary
 
 
@@ -154,49 +160,40 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
 
-    if args.command == "list":
-        print(list_scenarios())
-        return 0
-
-    if args.command == "seed-figures":
-        try:
-            written = seed_figures(args.out)
-        except OSError as exc:
-            print(f"error: --out: {exc}", file=sys.stderr)
-            return 2
-        for path in written:
-            print(path)
-        return 0
-
+    # what an exit-1 message names, once a config has loaded its scenario
+    failed = args.command
     try:
-        config = load_config(args.config)
-        if args.grid_samples is not None:
-            try:
-                grid = dataclasses.replace(config.grid, n_samples=args.grid_samples)
-            except ValueError as exc:
-                raise ConfigError(f"--grid-samples: {exc}") from None
-            config = dataclasses.replace(config, grid=grid)
-    except (ConfigError, OSError) as exc:
+        if args.command == "list":
+            lines = [list_scenarios()]
+        elif args.command == "seed-figures":
+            lines = seed_figures(args.out)
+        else:
+            config = load_config(args.config)
+            failed = f"scenario '{config.scenario}'"
+            if args.grid_samples is not None:
+                try:
+                    grid = dataclasses.replace(config.grid, n_samples=args.grid_samples)
+                except ValueError as exc:
+                    raise ConfigError(f"--grid-samples: {exc}") from None
+                config = dataclasses.replace(config, grid=grid)
+            results = run(config, args.out)["results"]
+            headline = {
+                k: results[k]
+                for k in ("w_out", "best_alpha", "dominant_efficiency", "q_factor_s")
+                if k in results
+            }
+            lines = [f"{config.scenario}: " + json.dumps(headline, sort_keys=True)]
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    try:
-        summary = run(config, args.out)
     except TmCavityError as exc:
-        print(
-            f"error: scenario '{config.scenario}' failed: {exc}", file=sys.stderr
-        )
+        print(f"error: {failed} failed: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
+        # an unreadable config is a ConfigError, so this is about --out
         print(f"error: --out: {exc}", file=sys.stderr)
         return 2
-    results = summary["results"]
-    headline = {
-        k: results[k]
-        for k in ("w_out", "best_alpha", "dominant_efficiency", "q_factor_s")
-        if k in results
-    }
-    print(f"{config.scenario}: " + json.dumps(headline, sort_keys=True))
+    print("\n".join(lines))
     return 0
 
 

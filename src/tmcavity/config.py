@@ -356,15 +356,21 @@ def _line_of(text: str, section: str, key: str | None) -> int:
 def load_config(path) -> ExperimentConfig:
     """Parse and validate a config file, raising :class:`ConfigError` with
     ``path:line`` anchors on any defect."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}:0: cannot read the file: {exc}") from None
 
     parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text, source=str(path))
     except configparser.Error as exc:
-        lineno = getattr(exc, "lineno", 0) or 0
-        raise ConfigError(f"{path}:{lineno}: {exc.message}") from None
+        # a ParsingError lists its bad (line, text) pairs; report the first
+        errors = getattr(exc, "errors", None)
+        lineno = errors[0][0] if errors else getattr(exc, "lineno", 0) or 0
+        problem = "expected [section] or key = value" if errors else exc.message
+        raise ConfigError(f"{path}:{lineno}: {problem.splitlines()[0]}") from None
 
     for section in parser.sections():
         if section not in _SECTIONS:

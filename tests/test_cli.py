@@ -124,10 +124,29 @@ class TestConfigParsing:
             load_config(write_config(tmp_path, bad))
 
     def test_missing_section_rejected(self, tmp_path):
-        bad = GOOD_CONFIG.replace("[cavity]", "[grid2]")
+        start = GOOD_CONFIG.index("[cavity]")
+        bad = GOOD_CONFIG[:start] + GOOD_CONFIG[GOOD_CONFIG.index("[scenario]"):]
         path = write_config(tmp_path, bad)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"missing required section \[cavity\]"):
             load_config(path)
+
+    @pytest.mark.parametrize(
+        "old, new, line",
+        [
+            ("[grid]", "x = 1\n[grid]", 1),
+            ("gamma_c = 0.01", "gamma_c 0.01", 9),
+            ("gamma_s = 10.1", "alpha = 10.1", 8),
+        ],
+        ids=["key-before-any-section", "line-without-equals", "duplicate-key"],
+    )
+    def test_ini_syntax_error_is_one_line_at_its_line(
+        self, tmp_path, capsys, old, new, line
+    ):
+        path = write_config(tmp_path, GOOD_CONFIG.replace(old, new))
+        code = main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:{line}: ") and err.count("\n") == 1
 
     def test_invalid_values_rejected(self, tmp_path):
         bad = GOOD_CONFIG.replace("gamma_s = 10.1", "gamma_s = -1.0")
@@ -207,6 +226,9 @@ class TestCliCommands:
             ({"t_end = 10.0": "t_end = inf"}, []),
             ({"t_start = 0.0": "t_start = -1e308", "t_end = 10.0": "t_end = 1e308"},
              []),
+            ({"fig2-optimal": "alpha-scan\nmodel = exact"}, []),
+            ({"fig2-optimal": "fig3-orthogonal\nmode_index = 0"}, []),
+            ({"fig2-optimal": "green-kernel\nbasis_size = 1"}, []),
         ],
         ids=["n-samples-not-int", "grid-samples-1", "alpha-step-0",
              "alpha-step-negative", "alpha-grid-2-points", "alpha-max-inf",
@@ -216,7 +238,8 @@ class TestCliCommands:
              "fig2-control-clipped", "alpha-scan-control-clipped",
              "green-kernel-control-clipped", "fig3-control-clipped",
              "alpha-1e160", "fig4-alpha-1e160", "alpha-grid-1e159",
-             "alpha-grid-count-inf", "grid-t-end-inf", "grid-span-overflows"],
+             "alpha-grid-count-inf", "grid-t-end-inf", "grid-span-overflows",
+             "alpha-scan-model-exact", "fig3-mode-index-0", "basis-size-1"],
     )
     def test_bad_config_exits_2(self, tmp_path, capsys, replacements, extra_args):
         text = GOOD_CONFIG
@@ -314,6 +337,19 @@ class TestCliCommands:
             ["run", "--config", str(tmp_path / "nope.ini"), "--out", str(tmp_path)]
         )
         assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {tmp_path / 'nope.ini'}:0: cannot read the file")
+        assert err.count("\n") == 1
+
+    def test_undecodable_config_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "latin1.ini"
+        path.write_bytes(GOOD_CONFIG.replace("0.0", "0\xb0").encode("latin-1"))
+        code = main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:0: cannot read the file: 'utf-8' codec")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
         "command, out",
@@ -350,6 +386,25 @@ class TestCliCommands:
         )
         assert code == 1
         assert "fig2-gaussian" in capsys.readouterr().err
+
+    def test_non_finite_result_exits_1_and_writes_no_file(self, tmp_path, capsys):
+        # on 2 samples this cavity's W_out overflows to Infinity and its tail
+        # fraction to NaN, which JSON cannot hold
+        text = (
+            GOOD_CONFIG.replace("n_samples = 10001", "n_samples = 2")
+            .replace("alpha = 5.5", "alpha = 1.0")
+            .replace("gamma_s = 10.1", "gamma_s = 1e39")
+            .replace("gamma_c = 0.01", "gamma_c = 0.0")
+        )
+        out = tmp_path / "o"
+        path = write_config(tmp_path, text)
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: scenario 'fig2-optimal' failed: result 'w_out' is not finite\n"
+        )
+        assert list(out.iterdir()) == []
 
     @pytest.mark.filterwarnings("error")
     def test_degenerate_basis_exits_1_with_one_line(self, tmp_path, capsys):
@@ -565,6 +620,9 @@ class TestScenarioRuns:
         if (stem, model) == ("green-kernel", "analytic"):
             assert results["conversion_efficiencies"][1] == 0.0
             assert results["contrast"] is None
+        if (stem, model) == ("alpha-scan", "analytic"):
+            # the closed form's W_out falls to the scan's end, as exp(-2 f_s) does
+            assert results["best_alpha"] == 10.0
 
     def test_failed_run_writes_no_file(self, tmp_path, capsys):
         # on 2 samples fig4-design fails in impedance_residual, after its
